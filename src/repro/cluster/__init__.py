@@ -8,8 +8,9 @@ provably cannot contribute to the top-k (Property 1 of the paper gives
 the bound).  The package layers:
 
 * :mod:`~repro.cluster.planner` — partition POIs into routable regions;
-* :mod:`~repro.cluster.coordinator` — scatter-gather queries and routed
-  mutations over the live shards, in process;
+* :mod:`~repro.cluster.coordinator` — the one coordinator:
+  scatter-gather queries and routed mutations over shard endpoints,
+  and the in-process endpoint;
 * :mod:`~repro.cluster.resilience` — per-shard fault domains: circuit
   breakers, guarded calls, bounded-degradation answers;
 * :mod:`~repro.cluster.state` — the on-disk manifest plus per-shard
@@ -17,8 +18,8 @@ the bound).  The package layers:
 * :mod:`~repro.cluster.workers` — one shard per *process*: a worker
   owning its shard's tree + WAL + scrubber behind the JSON-lines
   protocol;
-* :mod:`~repro.cluster.remote` — the out-of-process coordinator:
-  async best-bound-first scatter-gather over worker sockets;
+* :mod:`~repro.cluster.remote` — the worker endpoint (a socket to one
+  worker process) and the coordinator over it;
 * :mod:`~repro.cluster.reshard` — live shard splits: drain the WAL
   tail, cut the routing table over, replay into two successors.
 """

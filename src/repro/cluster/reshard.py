@@ -59,7 +59,7 @@ from typing import Any
 from repro.cluster.coordinator import ClusterStateError
 from repro.cluster.planner import ShardPlan, split_region
 from repro.cluster.remote import RemoteClusterTree, RemoteShard, WorkerClient
-from repro.cluster.resilience import ShardDescriptor, ShardGuard
+from repro.cluster.resilience import ShardGuard
 from repro.cluster.state import (
     manifest_payload,
     write_manifest_payload,
@@ -104,10 +104,7 @@ class ReshardPolicy:
     def pick(self, remote: RemoteClusterTree) -> int | None:
         """The shard to split now, or ``None`` to leave the plan alone."""
         with remote._routing.read_locked():
-            loads = [
-                (remote._descriptors[shard.index].pois, shard.index)
-                for shard in remote.shards
-            ]
+            loads = [(shard.descriptor.pois, shard.index) for shard in remote.shards]
         with remote._counter_lock:
             overflows = remote.routing_overflows
         biggest, index = max(loads)
@@ -355,8 +352,9 @@ def _split_claimed(remote: RemoteClusterTree, index: int) -> tuple[int, int]:
                 clients[1],
                 handles[1],
             )
-            low_shard.manifest_lsn = hellos[0].get("applied_lsn")
-            high_shard.manifest_lsn = hellos[1].get("applied_lsn")
+            for shard, hello in zip((low_shard, high_shard), hellos):
+                shard.manifest_lsn = hello.get("applied_lsn")
+                shard.timeout = timeout
             new_shards = list(remote.shards)
             new_shards[index] = low_shard
             new_shards.append(high_shard)
@@ -372,9 +370,6 @@ def _split_claimed(remote: RemoteClusterTree, index: int) -> tuple[int, int]:
                     on_event=remote._note_health,
                 )
             )
-            new_descriptors = list(remote._descriptors)
-            new_descriptors[index] = ShardDescriptor()
-            new_descriptors.append(ShardDescriptor())
             entries = [
                 (shard.dirname, shard.manifest_lsn) for shard in new_shards
             ]
@@ -392,11 +387,10 @@ def _split_claimed(remote: RemoteClusterTree, index: int) -> tuple[int, int]:
             remote.plan = new_plan
             remote.shards = new_shards
             remote._guards = new_guards
-            remote._descriptors = new_descriptors
             remote.plan_epoch = new_epoch
             remote.next_dir = ordinal + 2
-            remote._absorb_state(low_shard, hellos[0])
-            remote._absorb_state(high_shard, hellos[1])
+            low_shard.absorb(hellos[0])
+            high_shard.absorb(hellos[1])
     except Exception:
         # Roll back only *before* the commit point.  Once the manifest
         # naming the successors is durable, terminating them or deleting

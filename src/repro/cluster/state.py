@@ -36,10 +36,12 @@ from repro.reliability.recovery import CheckpointedIngest, recover
 __all__ = [
     "MANIFEST_NAME",
     "ClusterRecoveryReport",
+    "check_recovered_lsn",
     "check_reshard_consistency",
     "is_cluster_directory",
     "manifest_payload",
     "open_cluster",
+    "open_manifest",
     "read_manifest",
     "read_shard_meta",
     "recover_cluster",
@@ -110,11 +112,12 @@ def write_manifest_payload(directory: str, payload: dict[str, Any]) -> str:
     return path
 
 
-def write_manifest(directory: str, cluster: ClusterTree) -> str:
+def write_manifest(directory: str, cluster: ClusterTree[Shard]) -> str:
     """Atomically (re)write ``directory``'s manifest from ``cluster``.
 
-    Called after every cluster checkpoint so the recorded per-shard
-    applied LSNs always describe one consistent set of shard snapshots.
+    Records each shard tree's current applied LSN; :func:`save_cluster`
+    calls it once the base snapshots exist (a cluster checkpoint
+    records the LSNs of the snapshots it takes instead).
     """
     payload = manifest_payload(
         cluster.name,
@@ -233,7 +236,53 @@ def read_manifest(directory: str) -> dict[str, Any]:
     return payload
 
 
-def save_cluster(cluster: ClusterTree, directory: str) -> str:
+def open_manifest(directory: str) -> tuple[dict[str, Any], ShardPlan, list[str]]:
+    """Read ``directory``'s manifest for opening the cluster.
+
+    Returns the payload, the plan and each shard's state directory in
+    plan order; refuses a manifest rolled back across a committed
+    reshard, a shard count that disagrees with the plan, and a missing
+    shard directory.  In-process recovery and the worker spawn both
+    open through here.
+    """
+    payload = read_manifest(directory)
+    check_reshard_consistency(directory, payload)
+    plan = ShardPlan.from_json(payload["plan"])
+    entries = payload["shards"]
+    if len(entries) != len(plan):
+        raise ClusterStateError(
+            "cluster manifest lists %d shards but the plan has %d regions"
+            % (len(entries), len(plan))
+        )
+    shard_dirs = [os.path.join(directory, entry["dir"]) for entry in entries]
+    for shard_dir in shard_dirs:
+        if not os.path.isdir(shard_dir):
+            raise ClusterStateError(
+                "cluster manifest names missing shard directory %s" % shard_dir
+            )
+    return payload, plan, shard_dirs
+
+
+def check_recovered_lsn(
+    payload: dict[str, Any], index: int, recovered_lsn: int | None
+) -> None:
+    """Refuse shard ``index`` recovered behind its manifest LSN.
+
+    Being ahead is normal (post-checkpoint mutations replayed from the
+    WAL); being behind means durable state was lost.
+    """
+    manifest_lsn = payload["shards"][index].get("applied_lsn")
+    if manifest_lsn is not None and (
+        recovered_lsn is None or recovered_lsn < manifest_lsn
+    ):
+        raise ClusterStateError(
+            "shard %d recovered to LSN %r but the cluster manifest "
+            "recorded LSN %r — shard state is behind its checkpoint"
+            % (index, recovered_lsn, manifest_lsn)
+        )
+
+
+def save_cluster(cluster: ClusterTree[Shard], directory: str) -> str:
     """Attach durable state under ``directory`` to an in-memory cluster.
 
     Creates one state directory per shard, attaches a
@@ -312,33 +361,11 @@ def recover_cluster(
     being behind means durable state was lost and raises
     :class:`~repro.cluster.coordinator.ClusterStateError`.
     """
-    payload = read_manifest(directory)
-    check_reshard_consistency(directory, payload)
-    plan = ShardPlan.from_json(payload["plan"])
-    entries = payload["shards"]
-    if len(entries) != len(plan):
-        raise ClusterStateError(
-            "cluster manifest lists %d shards but the plan has %d regions"
-            % (len(entries), len(plan))
-        )
+    payload, plan, shard_dirs = open_manifest(directory)
     shard_reports: list[Any] = []
-    for index, entry in enumerate(entries):
-        shard_dir = os.path.join(directory, entry["dir"])
-        if not os.path.isdir(shard_dir):
-            raise ClusterStateError(
-                "cluster manifest names missing shard directory %s" % shard_dir
-            )
+    for index, shard_dir in enumerate(shard_dirs):
         report = recover(shard_dir, name="tree", stats=stats, **overrides)
-        manifest_lsn = entry.get("applied_lsn")
-        recovered_lsn = report.tree.applied_lsn
-        if manifest_lsn is not None and (
-            recovered_lsn is None or recovered_lsn < manifest_lsn
-        ):
-            raise ClusterStateError(
-                "shard %d recovered to LSN %r but the cluster manifest "
-                "recorded LSN %r — shard state is behind its checkpoint"
-                % (index, recovered_lsn, manifest_lsn)
-            )
+        check_recovered_lsn(payload, index, report.tree.applied_lsn)
         shard_reports.append(report)
     return ClusterRecoveryReport(
         directory, str(payload.get("name", "cluster")), plan, payload, shard_reports
@@ -353,7 +380,7 @@ def open_cluster(
     injector: Any = None,
     allow_degraded: bool = False,
     **overrides: Any,
-) -> ClusterTree:
+) -> ClusterTree[Shard]:
     """Recover and reopen the cluster under ``directory`` for serving.
 
     Runs :func:`recover_cluster`, re-attaches a fresh per-shard WAL

@@ -23,12 +23,12 @@ lock                rank  guards
                           under it — the one lock with that licence)
 ``service-rw``      10    the service's tree (readers/writer)
 ``recovery``        20    online shard-recovery cutover
-``routing``         25    the remote coordinator's routing table —
-                          shard plan + worker list vs a live reshard
-                          cutover (readers/writer; the write side
-                          drains and replays WAL tails over sockets
-                          and fsyncs the committing manifest, hence
-                          the socket/wal/fsync allowances)
+``routing``         25    the coordinator's routing table — shard
+                          plan + shard list + guards vs a live
+                          reshard cutover (readers/writer; the write
+                          side drains and replays WAL tails over
+                          sockets and fsyncs the committing manifest,
+                          hence the socket/wal/fsync allowances)
 ``shard-rw``        30    one shard's tree (readers/writer)
 ``breaker``         40    circuit-breaker + guard counters
 ``registry``        50    subscription-registry state
@@ -155,8 +155,8 @@ HIERARCHY: tuple[LockDecl, ...] = (
     LockDecl(RECOVERY, 20, "mutex", "online shard-recovery cutover",
              blocking_allowed=frozenset({"wal"})),
     LockDecl(ROUTING, 25, "rw",
-             "the remote coordinator's routing table (plan + worker "
-             "list vs live reshard cutover; the write side drains and "
+             "the coordinator's routing table (plan + shard list + "
+             "guards vs live reshard cutover; the write side drains and "
              "replays WAL tails over worker sockets and fsyncs the "
              "manifest that commits the cutover)",
              blocking_allowed=frozenset({"fsync", "socket", "wal"})),
@@ -212,9 +212,7 @@ _ATTR_SITES: tuple[tuple[str, str, str], ...] = (
     ("repro.cluster.coordinator", "_recovery_lock", RECOVERY),
     ("repro.cluster.remote", "_lock", CONN),
     ("repro.cluster.remote", "_counter_lock", COUNTER),
-    ("repro.cluster.remote", "_recovery_lock", RECOVERY),
     ("repro.cluster.reshard", "_counter_lock", COUNTER),
-    ("repro.cluster.reshard", "_recovery_lock", RECOVERY),
     ("repro.devtools.watchdog", "_edge_lock", WATCHDOG),
 )
 
@@ -259,12 +257,13 @@ def classify_site(module: str, expr: ast.expr) -> LockSite | None:
         receiver = ast.dump(expr.func.value)
         if module.startswith("repro.service"):
             return LockSite(SERVICE_RW, mode, "rw", receiver)
-        if module.startswith(("repro.cluster.remote", "repro.cluster.reshard")):
-            # The remote coordinator's only RW lock is the routing
-            # table; worker processes (repro.cluster.workers) keep the
-            # per-shard shard-rw classification below.
-            return LockSite(ROUTING, mode, "rw", receiver)
         if module.startswith("repro.cluster"):
+            # The coordinator's routing table is its ``_routing`` lock
+            # (taken by the coordinator and by a live reshard); every
+            # other RW lock in the cluster layer guards one shard's tree
+            # — in process or inside a worker.
+            if _terminal_name(expr.func.value) == "_routing":
+                return LockSite(ROUTING, mode, "rw", receiver)
             return LockSite(SHARD_RW, mode, "rw", receiver)
         if module.startswith("repro.continuous"):
             # The registry advances under the *service's* lock, handed

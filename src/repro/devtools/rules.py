@@ -26,6 +26,7 @@ from typing import Iterator
 
 from repro.devtools.callgraph import (
     CallSite,
+    ClassInfo,
     FunctionSummary,
     HeldLock,
     iter_lambda_thunk_calls,
@@ -66,6 +67,27 @@ SHARD_DISPATCH_METHODS = frozenset(
         "max_aggregate_bound",
     }
 )
+
+#: Shard-endpoint methods (``repro.cluster.coordinator.ShardEndpoint``)
+#: the coordinator dispatches through a ShardGuard (RT007).  The
+#: lifecycle steps ``checkpoint``, ``adopt`` and ``close`` are not
+#: dispatch and stay unchecked (docs/DEVTOOLS.md).
+ENDPOINT_DISPATCH_METHODS = frozenset(
+    {
+        "query",
+        "batch",
+        "insert",
+        "delete",
+        "digest",
+        "contains",
+        "describe",
+        "scrub",
+        "reopen",
+    }
+)
+#: The far side of the guard: the guard itself, and the worker server a
+#: worker endpoint talks to (it *is* the shard, in its own process).
+_GUARD_EXEMPT_MODULES = ("repro.cluster.resilience", "repro.cluster.workers")
 
 #: Attribute names that hold foreign callables: observer, subscriber
 #: and transition callbacks (RT010).
@@ -684,17 +706,22 @@ class WarnStacklevelRule(Rule):
 class GuardedShardDispatchRule(ProgramRule):
     """RT007: cluster shard dispatch must go through the ShardGuard.
 
-    Every shard-tree operation that crosses a fault-domain boundary —
-    routed mutations (``insert_poi``/``delete_poi``/``digest_epoch``),
-    bulk loads, bound refreshes (``global_epoch_max`` /
-    ``max_aggregate_bound`` on a ``.tree``), and query dispatch
-    (``knnta_search``/``sequential_scan``/``CollectiveProcessor(...).run``)
-    — must execute inside a guard thunk handed to ``ShardGuard.call``;
-    that wrapper owns the timeout, retry/classification, and circuit
-    breaker that keep one failing shard from hanging or crashing the
-    whole scatter-gather.  A dispatch in a helper passes when the helper
-    itself is a guard thunk or every resolvable call chain into it
-    (across modules — the shared whole-program pass) starts from one.
+    Every operation that crosses a fault-domain boundary must execute
+    inside a guard thunk handed to ``ShardGuard.call``; that wrapper
+    owns the timeout, retry/classification, and circuit breaker that
+    keep one failing shard from hanging or crashing the whole
+    scatter-gather.  Two shapes count as dispatch: a call to a shard
+    endpoint's dispatch method (``ENDPOINT_DISPATCH_METHODS`` on
+    anything but ``self``, in the cluster layer) — the coordinator's
+    only way to reach a shard on either transport — and a shard-tree
+    operation (routed mutations, bulk loads and bound refreshes on a
+    ``.tree``, ``knnta_search``/``sequential_scan``,
+    ``CollectiveProcessor(...).run``).  A dispatch in a helper passes
+    when the helper itself is a guard thunk or every resolvable call
+    chain into it (across modules — the shared whole-program pass)
+    starts from one.  Endpoint implementations — classes defining
+    every dispatch method — are the far side of the guard, like the
+    guard module itself and the worker server.
     """
 
     rule_id = "RT007"
@@ -706,13 +733,12 @@ class GuardedShardDispatchRule(ProgramRule):
     )
 
     def applies_to(self, module: str) -> bool:
-        # The resilience module *implements* the guard; everything else
-        # in the cluster layer — and the continuous layer, which serves
-        # subscriptions straight off cluster trees — must dispatch
-        # through it.
+        # Everything in the cluster layer but the far side of the guard —
+        # and the continuous layer, which serves subscriptions straight
+        # off cluster trees — must dispatch through it.
         return (
             module.startswith(("repro.cluster", "repro.continuous"))
-            and module != "repro.cluster.resilience"
+            and module not in _GUARD_EXEMPT_MODULES
         )
 
     def check_program(self, context: ProgramContext) -> Iterator[Finding]:
@@ -724,7 +750,10 @@ class GuardedShardDispatchRule(ProgramRule):
         callsites: dict[str, list[str]] = {}
         candidates: list[tuple[str, ast.Call, str, FunctionSummary]] = []
         for key, summary in flow.summaries.items():
-            in_scope = self.applies_to(summary.function.module)
+            module = summary.function.module
+            in_scope = self.applies_to(module) and not _is_endpoint(
+                summary.function.class_info
+            )
             for site in summary.calls:
                 if site.via_thunk:
                     if site.callee is not None:
@@ -737,7 +766,7 @@ class GuardedShardDispatchRule(ProgramRule):
                 name = call_name(site.node)
                 if name is None:
                     continue
-                if self._is_dispatch(site.node, name):
+                if self._is_dispatch(site.node, name, module):
                     candidates.append((key, site.node, name, summary))
         for key, call, name, summary in candidates:
             if id(call) in lambda_calls:
@@ -755,11 +784,16 @@ class GuardedShardDispatchRule(ProgramRule):
             )
 
     @staticmethod
-    def _is_dispatch(call: ast.Call, name: str) -> bool:
+    def _is_dispatch(call: ast.Call, name: str, module: str) -> bool:
         func = call.func
         if isinstance(func, ast.Name):
             return name in LOCKED_READS
         if isinstance(func, ast.Attribute):
+            if (func.attr in ENDPOINT_DISPATCH_METHODS
+                    and module.startswith("repro.cluster")):
+                # ``self.query(...)`` is the coordinator's own public API;
+                # the endpoints it dispatches to are never ``self``.
+                return not _is_self(func.value)
             if func.attr == "run":
                 return any(
                     isinstance(node, ast.Name)
@@ -798,6 +832,20 @@ class GuardedShardDispatchRule(ProgramRule):
                 return False
         return True
 
+
+def _is_endpoint(info: ClassInfo | None) -> bool:
+    """Does ``info`` implement every shard-endpoint dispatch method?"""
+    return info is not None and ENDPOINT_DISPATCH_METHODS <= info.methods.keys()
+
+
+def _is_self(expr: ast.expr) -> bool:
+    if isinstance(expr, ast.Name):
+        return expr.id == "self"
+    return (
+        isinstance(expr, ast.Call)
+        and isinstance(expr.func, ast.Name)
+        and expr.func.id == "super"
+    )
 
 @rule
 class LockOrderRule(ProgramRule):

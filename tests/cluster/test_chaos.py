@@ -265,7 +265,7 @@ def recover_all_workers(remote):
         guard = remote._guards[shard.index]
         dead = shard.handle is not None and not shard.handle.alive
         if dead or guard.breaker.needs_recovery or guard.breaker.state != CLOSED:
-            remote.recover_worker(shard.index)
+            remote.recover_shard(shard.index)
             recovered += 1
     return recovered
 
@@ -318,7 +318,7 @@ class TestWorkerSigkillChaos:
                 victim = rng.randrange(len(remote.shards))
                 remote.shards[victim].handle.kill()
                 time.sleep(0.2)
-                remote.recover_worker(victim)
+                remote.recover_shard(victim)
         finally:
             stop.set()
         for thread in threads:
@@ -426,7 +426,7 @@ class TestWorkerSigkillChaos:
         health = remote.health()
         entry = health["shards"][2]
         assert entry["alive"] is False
-        remote.recover_worker(2)
+        remote.recover_shard(2)
         health = remote.health()
         assert health["shards"][2]["alive"] is True
         assert health["recoveries"] == 1

@@ -1,5 +1,8 @@
 """The cluster coordinator: scatter-gather queries and routed mutations."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro import (
@@ -11,8 +14,10 @@ from repro import (
     TimeInterval,
     sequential_scan,
 )
+import repro.cluster.coordinator as coordinator
 from repro.cluster.coordinator import Shard
 from repro.cluster.planner import plan_shards
+from tests.cluster.conftest import open_on
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +82,18 @@ class TestNormalization:
         ) == single_tree.normalizer(query.interval, query.semantics, exact=True)
 
 
+@pytest.fixture
+def keyed(transport, small_dataset, tmp_path):
+    """A 2-shard cluster on ``transport`` for the dotted-key tests."""
+    with open_on(transport, small_dataset, tmp_path / "c", num_shards=2) as built:
+        yield built
+
+
 class TestQueries:
+    @pytest.fixture
+    def transport(self):
+        return "inproc"
+
     def test_query_matches_single_tree(self, cluster, single_tree):
         query = trailing_query(cluster)
         assert cluster.query(query) == single_tree.query(query)
@@ -131,13 +147,12 @@ class TestQueries:
         assert counters["shards"] == 2
         assert 1 <= counters["shards.visited"] <= 4
 
-    def test_counters_emit_only_canonical_dotted_keys(self, small_dataset):
+    def test_counters_emit_only_canonical_dotted_keys(self, keyed):
         # Dotted keys are canonical (one scheme with the shards.<i>.*
         # blocks of explain()); the snake-case aliases shimmed in for
         # one release are now gone.
-        built = ClusterTree.build(small_dataset, num_shards=2)
-        built.query(trailing_query(built))
-        counters = built.counters()
+        keyed.query(trailing_query(keyed))
+        counters = keyed.counters()
         for dotted in (
             "shards.visited",
             "shards.pruned",
@@ -157,8 +172,8 @@ class TestQueries:
         ):
             assert legacy not in counters
 
-    def test_explain_emits_only_canonical_dotted_keys(self, cluster):
-        _, cost = cluster.explain(trailing_query(cluster))
+    def test_explain_emits_only_canonical_dotted_keys(self, keyed):
+        _, cost = keyed.explain(trailing_query(keyed))
         for dotted in (
             "shards.visited",
             "shards.pruned",
@@ -212,6 +227,68 @@ class TestQueries:
         padded = ClusterTree(plan, list(built.shards) + [shard])
         _, cost = padded.explain(trailing_query(padded))
         assert cost["shards.visited"] + cost["shards.pruned"] <= 2
+
+
+class TestDottedKeysOnWorkers:
+    """The dotted-key counters()/explain() tests over worker processes,
+    sharing one worker cluster."""
+
+    @pytest.fixture(scope="class")
+    def keyed(self, small_dataset, tmp_path_factory):
+        path = tmp_path_factory.mktemp("keyed") / "c"
+        with open_on("workers", small_dataset, path, num_shards=2) as built:
+            yield built
+
+    test_counters_emit_only_canonical_dotted_keys = (
+        TestQueries.test_counters_emit_only_canonical_dotted_keys
+    )
+    test_explain_emits_only_canonical_dotted_keys = (
+        TestQueries.test_explain_emits_only_canonical_dotted_keys
+    )
+
+    def test_explain_reports_the_in_process_coordinator_keys(self, keyed, cluster):
+        # The same coordinator-level keys as in process; the per-shard
+        # and merged access counters a worker never sends are absent.
+        _, remote = keyed.explain(trailing_query(keyed))
+        _, local = cluster.explain(trailing_query(cluster))
+        coordinator_keys = {
+            key
+            for key in local
+            if key == "shards"
+            or (key.startswith("shards.") and not key.split(".")[1].isdigit())
+        }
+        assert set(remote) == coordinator_keys
+
+
+def test_parallel_queries_share_one_executor(
+    transport, small_dataset, tmp_path, monkeypatch
+):
+    # Parallel dispatch runs on one executor per cluster, made on first
+    # use: concurrent queries and a batch build no pools of their own,
+    # and close() leaves no scatter thread behind.
+    made = []
+
+    class Counting(coordinator.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(coordinator, "ThreadPoolExecutor", Counting)
+    earlier = set(threading.enumerate())  # other tests' unclosed clusters
+    with open_on(transport, small_dataset, tmp_path / "c", parallelism=4) as built:
+        queries = [
+            trailing_query(built, k=7, alpha0=alpha0) for alpha0 in (0.1, 0.5, 0.9)
+        ] * 4
+        with ThreadPoolExecutor(max_workers=4) as clients:
+            answers = list(clients.map(built.query, queries))
+        assert answers[:3] == answers[3:6]
+        built.query_batch(queries[:3])
+        assert len(made) == 1
+    assert not [
+        thread
+        for thread in threading.enumerate()
+        if thread.name.startswith("repro-scatter") and thread not in earlier
+    ]
 
 
 class TestRoutedMutations:

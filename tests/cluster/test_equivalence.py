@@ -21,6 +21,7 @@ from repro import (
     TimeInterval,
     datasets,
 )
+from tests.cluster.conftest import open_on
 
 DATASET_CONFIGS = [
     ("NYC", 0.02, 7),
@@ -58,44 +59,78 @@ def random_queries(tree, rng, count=12):
     return queries
 
 
+@pytest.fixture
+def transport():
+    """The tests below run in process under their own names;
+    :class:`TestOnWorkers` re-runs them over worker processes."""
+    return "inproc"
+
+
 @pytest.mark.parametrize(
     "preset,scale,seed", DATASET_CONFIGS, ids=[c[0] for c in DATASET_CONFIGS]
 )
-def test_sharded_answers_equal_single_tree(preset, scale, seed):
+def test_sharded_answers_equal_single_tree(preset, scale, seed, transport, tmp_path):
     data = datasets.make(preset, scale=scale, seed=seed)
     single = TARTree.build(data)
     rng = random.Random(seed * 31 + 1)
-    for num_shards, method in SHARD_CONFIGS:
-        cluster = ClusterTree.build(data, num_shards=num_shards, method=method)
-        for query in random_queries(single, rng):
-            expected = single.query(query)
-            got = cluster.query(query)
-            # Full tuple equality: poi_id, score, distance, aggregate,
-            # in order.  Scores must be bit-identical, not approximate —
-            # both sides evaluate the same normalised expression per POI.
-            assert got == expected, (
-                "mismatch: %s shards=%d method=%s query=%r"
-                % (preset, num_shards, method, query)
-            )
+    # A worker costs about a second to spawn and the plan matrix does not
+    # depend on the transport, so over workers one plan per dataset.
+    configs = SHARD_CONFIGS if transport == "inproc" else SHARD_CONFIGS[1:2]
+    for num_shards, method in configs:
+        path = tmp_path / ("%s-%d" % (method, num_shards))
+        with open_on(
+            transport, data, path, num_shards=num_shards, method=method
+        ) as cluster:
+            for query in random_queries(single, rng):
+                expected = single.query(query)
+                got = cluster.query(query)
+                # Full tuple equality: poi_id, score, distance,
+                # aggregate, in order.  Scores must be bit-identical, not
+                # approximate — both sides evaluate the same normalised
+                # expression per POI.
+                assert got == expected, (
+                    "mismatch: %s shards=%d method=%s query=%r"
+                    % (preset, num_shards, method, query)
+                )
 
 
-def test_sharded_batches_equal_single_tree():
+def test_sharded_batches_equal_single_tree(transport, tmp_path):
     data = datasets.make("NYC", scale=0.02, seed=7)
     single = TARTree.build(data)
-    cluster = ClusterTree.build(data, num_shards=4)
     rng = random.Random(99)
     queries = random_queries(single, rng, count=10)
     expected = [single.query(query) for query in queries]
-    assert cluster.query_batch(queries) == expected
+    with open_on(transport, data, tmp_path / "c") as cluster:
+        assert cluster.query_batch(queries) == expected
 
 
-def test_parallel_scatter_equals_single_tree():
+def test_parallel_scatter_equals_single_tree(transport, tmp_path):
     data = datasets.make("GS", scale=0.05, seed=11)
     single = TARTree.build(data)
-    cluster = ClusterTree.build(data, num_shards=5, parallelism=3)
     rng = random.Random(5)
-    for query in random_queries(single, rng, count=10):
-        assert cluster.query(query) == single.query(query)
+    with open_on(
+        transport, data, tmp_path / "c", num_shards=5, parallelism=3
+    ) as cluster:
+        for query in random_queries(single, rng, count=10):
+            assert cluster.query(query) == single.query(query)
+
+
+class TestOnWorkers:
+    """The identity, batch and parallel-scatter tests over worker processes."""
+
+    @pytest.fixture
+    def transport(self):
+        return "workers"
+
+    test_sharded_answers_equal_single_tree = staticmethod(
+        test_sharded_answers_equal_single_tree
+    )
+    test_sharded_batches_equal_single_tree = staticmethod(
+        test_sharded_batches_equal_single_tree
+    )
+    test_parallel_scatter_equals_single_tree = staticmethod(
+        test_parallel_scatter_equals_single_tree
+    )
 
 
 def test_packed_frames_do_not_change_cluster_answers():

@@ -2,6 +2,7 @@
 
 import threading
 import time
+from contextlib import ExitStack
 
 import pytest
 
@@ -37,6 +38,7 @@ from repro.reliability.faults import (
     constant,
     first_n,
 )
+from tests.cluster.conftest import kill_shard, open_on
 
 NO_SLEEP = ResilienceConfig(sleep=lambda _: None)
 
@@ -321,7 +323,7 @@ class TestShardDescriptor:
         poi = POI("fresh-bound", 30.0, 25.0)
         cluster.insert_poi(poi, {0: 7})
         owner = cluster._owner_of("fresh-bound")
-        descriptor = cluster._descriptors[owner.index]
+        descriptor = owner.descriptor
         assert descriptor.fresh
         assert descriptor.pois == len(owner.tree)
         assert descriptor.epoch_max == dict(owner.tree.global_epoch_max())
@@ -356,55 +358,81 @@ class TestDegradedAnswer:
         assert getattr([], "degraded", False) is False
 
 
-def kill_shard(injector, index, kind="fatal"):
-    for site in ("query", "mutate", "scrub"):
-        injector.configure(
-            "shard.%d.%s" % (index, site), schedule=constant(1.0), kind=kind
-        )
-
-
 def revive_shard(injector, index):
     for site in ("query", "mutate", "scrub"):
         injector.disarm("shard.%d.%s" % (index, site))
 
 
+#: A shard that fails is quarantined on its first failed call, on either
+#: transport: an injected fatal fault opens the breaker by itself, and a
+#: SIGKILLed worker surfaces as refused connections (transient errors).
+#: One probe closes a readmitted breaker again.
+DEAD_ON_FIRST_FAILURE = ResilienceConfig(
+    sleep=lambda _: None, failure_threshold=1, probe_successes=1
+)
+
+
+@pytest.fixture(scope="module")
+def single(small_dataset):
+    return TARTree.build(small_dataset)
+
+
+def owner_of_top_result(cluster, single, query):
+    """The shard holding the oracle's top-1 row."""
+    top = single.query(query)[0].poi_id
+    index = cluster.plan.route(single.poi(top).point)
+    assert index is not None
+    return index
+
+
 class TestDegradationPolicy:
-    def owner_of_top_result(self, cluster, query):
-        oracle = TARTree_oracle_top(cluster, query)
-        point = cluster.poi(oracle).point
-        index = cluster.plan.route(point)
-        assert index is not None
-        return index
+    """The degradation policy on in-process shards.
+
+    ``make(allow_degraded=..., parallelism=...)`` opens the 4-shard
+    cluster under test; :class:`TestDegradationPolicyOnWorkers` re-runs
+    every test over worker processes.
+    """
+
+    @pytest.fixture
+    def transport(self):
+        return "inproc"
+
+    @pytest.fixture
+    def make(self, transport, small_dataset, tmp_path):
+        with ExitStack() as stack:
+
+            def make(allow_degraded=False, parallelism=1):
+                return stack.enter_context(
+                    open_on(
+                        transport,
+                        small_dataset,
+                        tmp_path / "c",
+                        resilience=DEAD_ON_FIRST_FAILURE,
+                        allow_degraded=allow_degraded,
+                        parallelism=parallelism,
+                    )
+                )
+
+            yield make
 
     def test_strict_default_raises_when_a_blocking_shard_is_down(
-        self, small_dataset
+        self, make, single
     ):
-        injector = FaultInjector(seed=0)
-        cluster = ClusterTree.build(
-            small_dataset, num_shards=4, resilience=NO_SLEEP, injector=injector
-        )
+        cluster = make()
         query = trailing_query(cluster, k=10)
-        victim = self.owner_of_top_result(cluster, query)
-        kill_shard(injector, victim)
+        victim = owner_of_top_result(cluster, single, query)
+        kill_shard(cluster, victim)
         with pytest.raises(ClusterDegradedError) as excinfo:
             cluster.query(query)
         assert victim in excinfo.value.missed_shards
         assert 0.0 < excinfo.value.coverage < 1.0
         assert excinfo.value.score_bound is not None
 
-    def test_allow_degraded_returns_a_bounded_answer(self, small_dataset):
-        injector = FaultInjector(seed=0)
-        cluster = ClusterTree.build(
-            small_dataset,
-            num_shards=4,
-            resilience=NO_SLEEP,
-            injector=injector,
-            allow_degraded=True,
-        )
-        single = TARTree.build(small_dataset)
+    def test_allow_degraded_returns_a_bounded_answer(self, make, single):
+        cluster = make(allow_degraded=True)
         query = trailing_query(cluster, k=10)
-        victim = self.owner_of_top_result(cluster, query)
-        kill_shard(injector, victim)
+        victim = owner_of_top_result(cluster, single, query)
+        kill_shard(cluster, victim)
         answer = cluster.query(query)
         assert isinstance(answer, DegradedAnswer)
         assert answer.missed_shards == (victim,)
@@ -416,21 +444,18 @@ class TestDegradationPolicy:
             if row.score < answer.score_bound - 1e-9:
                 assert row == oracle[position]
 
-    def test_per_call_override_beats_the_cluster_default(self, small_dataset):
-        injector = FaultInjector(seed=0)
-        cluster = ClusterTree.build(
-            small_dataset, num_shards=4, resilience=NO_SLEEP, injector=injector
-        )
+    def test_per_call_override_beats_the_cluster_default(self, make, single):
+        cluster = make()
         query = trailing_query(cluster, k=10)
-        victim = self.owner_of_top_result(cluster, query)
-        kill_shard(injector, victim)
+        victim = owner_of_top_result(cluster, single, query)
+        kill_shard(cluster, victim)
         answer = cluster.query(query, allow_degraded=True)
         assert isinstance(answer, DegradedAnswer)
         with pytest.raises(ClusterDegradedError):
             cluster.query(query, allow_degraded=False)
 
     def test_down_but_irrelevant_shard_leaves_the_answer_exact(
-        self, small_dataset
+        self, make, single
     ):
         # Distance-dominant query with a small k: the shard farthest
         # from the query point cannot beat the k-th score, so its death
@@ -438,15 +463,7 @@ class TestDegradationPolicy:
         # Parallel dispatch submits every shard before the k-th score
         # tightens, so the far shard actually fails (sequential order
         # would prune it before dispatch).
-        injector = FaultInjector(seed=0)
-        cluster = ClusterTree.build(
-            small_dataset,
-            num_shards=4,
-            parallelism=4,
-            resilience=NO_SLEEP,
-            injector=injector,
-        )
-        single = TARTree.build(small_dataset)
+        cluster = make(parallelism=4)
         query = trailing_query(cluster, k=2, alpha0=0.95)
         normalizer = cluster.normalizer(query.interval, query.semantics)
         bounds = {
@@ -457,48 +474,65 @@ class TestDegradationPolicy:
             (index for index, bound in bounds.items() if bound is not None),
             key=lambda index: bounds[index],
         )
-        kill_shard(injector, victim)
+        kill_shard(cluster, victim)
+        before = cluster.counters()
         results = cluster.query(query)  # strict policy: would raise if unproven
         assert not isinstance(results, DegradedAnswer)
         assert results == single.query(query)
         counters = cluster.counters()
-        assert counters["certified_exact"] >= 1
-        assert counters["shards.failed"] >= 1
+        assert counters["certified_exact"] - before["certified_exact"] == 1
+        assert counters["shards.failed"] - before["shards.failed"] == 1
 
-    def test_explain_reports_the_fault_domain_outcome(self, small_dataset):
-        injector = FaultInjector(seed=0)
-        cluster = ClusterTree.build(
-            small_dataset,
-            num_shards=4,
-            resilience=NO_SLEEP,
-            injector=injector,
-            allow_degraded=True,
-        )
+    def test_batch_certificate_counts_every_certified_rider(self, make, single):
+        # The farthest shard dies under four distance-dominant queries.
+        # Each answer is certified exact on its own bound and counts
+        # once — in one batch exactly as when asked one at a time.
+        cluster = make(parallelism=4)
+        end = cluster.current_time
+        queries = [
+            KNNTAQuery(
+                (0.3 + 0.05 * i, 0.5), TimeInterval(end - 28, end), k=2, alpha0=0.95
+            )
+            for i in range(4)
+        ]
+        worst: dict = {}
+        for query in queries:
+            normalizer = cluster.normalizer(query.interval, query.semantics)
+            for shard in cluster.shards:
+                bound = cluster._shard_bound(shard, query, normalizer)
+                if bound is not None:
+                    worst[shard.index] = min(bound, worst.get(shard.index, bound))
+        victim = max(worst, key=worst.get)
+        kill_shard(cluster, victim)
+        oracle = [single.query(query) for query in queries]
+        before = cluster.counters()["certified_exact"]
+        answers = cluster.query_batch(queries)
+        assert answers == oracle
+        assert all(answer.exact for answer in answers)
+        assert cluster.counters()["certified_exact"] - before == len(queries)
+        before = cluster.counters()["certified_exact"]
+        assert [cluster.query(query) for query in queries] == oracle
+        assert cluster.counters()["certified_exact"] - before == len(queries)
+
+    def test_explain_reports_the_fault_domain_outcome(self, make, single):
+        cluster = make(allow_degraded=True)
         query = trailing_query(cluster, k=10)
-        victim = self.owner_of_top_result(cluster, query)
-        kill_shard(injector, victim)
+        victim = owner_of_top_result(cluster, single, query)
+        kill_shard(cluster, victim)
         _, cost = cluster.explain(query)
         assert cost["shards.failed"] == 1
         assert cost["shards.down"] == 1
         assert cost["shards.certified"] in (0, 1)
 
-    def test_query_batch_applies_the_policy_per_query(self, small_dataset):
-        injector = FaultInjector(seed=0)
-        cluster = ClusterTree.build(
-            small_dataset,
-            num_shards=4,
-            resilience=NO_SLEEP,
-            injector=injector,
-            allow_degraded=True,
-        )
-        single = TARTree.build(small_dataset)
+    def test_query_batch_applies_the_policy_per_query(self, make, single):
+        cluster = make(allow_degraded=True)
         end = cluster.current_time
         queries = [
             KNNTAQuery((0.1 * i, 0.5), TimeInterval(end - 28, end), k=5)
             for i in range(4)
         ]
-        victim = self.owner_of_top_result(cluster, queries[0])
-        kill_shard(injector, victim)
+        victim = owner_of_top_result(cluster, single, queries[0])
+        kill_shard(cluster, victim)
         answers = cluster.query_batch(queries)
         assert len(answers) == len(queries)
         for query, answer in zip(queries, answers):
@@ -510,28 +544,61 @@ class TestDegradationPolicy:
             else:
                 assert answer == oracle
 
-    def test_mutation_to_a_down_shard_raises_shard_down(self, small_dataset):
+    def test_mutation_to_a_down_shard_raises_shard_down(self, make):
         from repro import POI
 
-        injector = FaultInjector(seed=0)
-        cluster = ClusterTree.build(
-            small_dataset, num_shards=3, resilience=NO_SLEEP, injector=injector
-        )
+        cluster = make()
         poi = POI("blocked", 30.0, 25.0)
         victim = cluster.plan.route((30.0, 25.0))
-        kill_shard(injector, victim)
-        with pytest.raises(FatalFaultError):
+        kill_shard(cluster, victim)
+        pois = len(cluster)
+        # The dead shard might own the id, so the duplicate check refuses
+        # the insert — the first time with the shard's own failure, then
+        # with its open breaker.
+        with pytest.raises((FatalFaultError, TransientIOError)):
             cluster.insert_poi(poi)
         with pytest.raises(ShardDownError):
             cluster.insert_poi(poi)
-        assert "blocked" not in cluster
+        with pytest.raises(ShardDownError):
+            "blocked" in cluster
+        assert len(cluster) == pois
 
 
-def TARTree_oracle_top(cluster, query):
-    """poi_id of the oracle top-1 row, computed cluster-side (exact)."""
-    from repro.core.scan import sequential_scan
+class TestDegradationPolicyOnWorkers(TestDegradationPolicy):
+    """Every degradation test above, over worker processes.
 
-    return sequential_scan(cluster, query)[0].poi_id
+    The tests share one worker cluster: ``make`` re-applies the
+    options, and each test's dead workers are respawned afterwards
+    (their breakers readmitted and closed by one probe).
+    """
+
+    @pytest.fixture(scope="class")
+    def transport(self):
+        return "workers"
+
+    @pytest.fixture(scope="class")
+    def shared(self, transport, small_dataset, tmp_path_factory):
+        path = tmp_path_factory.mktemp("degradation") / "c"
+        with open_on(
+            transport, small_dataset, path, resilience=DEAD_ON_FIRST_FAILURE
+        ) as cluster:
+            yield cluster
+
+    @pytest.fixture
+    def make(self, shared):
+        def make(allow_degraded=False, parallelism=1):
+            shared.allow_degraded = allow_degraded
+            shared.parallelism = parallelism
+            return shared
+
+        yield make
+        for shard in shared.shards:
+            guard = shared._guards[shard.index]
+            if not shard.handle.alive or guard.breaker.state != CLOSED:
+                shared.recover_shard(shard.index)
+        probed = "no-such-poi" in shared  # one probe closes each breaker
+        assert not probed
+        assert shared.counters()["shards.down"] == 0
 
 
 class TestOnlineRecovery:
@@ -554,7 +621,7 @@ class TestOnlineRecovery:
             before = cluster.query(query)
             assert not isinstance(before, DegradedAnswer)
             victim = cluster.plan.route(cluster.poi(before[0].poi_id).point)
-            kill_shard(injector, victim)
+            kill_shard(cluster, victim)
             degraded = cluster.query(query)
             assert isinstance(degraded, DegradedAnswer)
             revive_shard(injector, victim)
@@ -585,7 +652,7 @@ class TestOnlineRecovery:
             victim = cluster.plan.route(
                 cluster.poi(cluster.query(query)[0].poi_id).point
             )
-            kill_shard(injector, victim)
+            kill_shard(cluster, victim)
             cluster.query(query)
             revive_shard(injector, victim)
             cluster.recover_shard(victim)
@@ -609,7 +676,7 @@ class TestOnlineRecovery:
             victim = cluster.plan.route(
                 cluster.poi(cluster.query(query)[0].poi_id).point
             )
-            kill_shard(injector, victim)
+            kill_shard(cluster, victim)
             cluster.query(query)
             assert cluster._guards[victim].breaker.needs_recovery
             revive_shard(injector, victim)
@@ -640,7 +707,7 @@ class TestOnlineRecovery:
             poi = POI("durable-row", 30.0, 25.0)
             cluster.insert_poi(poi, {0: 5})
             victim = cluster.plan.route((30.0, 25.0))
-            kill_shard(injector, victim)
+            kill_shard(cluster, victim)
             query = trailing_query(cluster, k=10)
             cluster.query(query)
             revive_shard(injector, victim)
@@ -665,7 +732,7 @@ class TestHealthSurface:
         victim = cluster.plan.route(
             cluster.poi(cluster.query(query)[0].poi_id).point
         )
-        kill_shard(injector, victim)
+        kill_shard(cluster, victim)
         cluster.query(query)
         health = cluster.health()
         assert len(health["shards"]) == 3
@@ -685,8 +752,8 @@ class TestHealthSurface:
         )
         seen = []
         cluster.add_health_observer(seen.append)
-        kill_shard(injector, 0)
-        kill_shard(injector, 1)
+        kill_shard(cluster, 0)
+        kill_shard(cluster, 1)
         cluster.query(trailing_query(cluster, k=5))
         assert seen
         cluster.remove_health_observer(seen.append)
@@ -703,7 +770,7 @@ class TestHealthSurface:
             injector=injector,
             allow_degraded=True,
         )
-        kill_shard(injector, 0)
+        kill_shard(cluster, 0)
         cluster.query(trailing_query(cluster, k=5))
         counters = cluster.counters()
         for key in (

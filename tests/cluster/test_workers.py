@@ -1,6 +1,7 @@
 """Out-of-process shard workers: protocol, equivalence, live resharding.
 
-Three layers under test (docs/CLUSTER.md "Process model"):
+Three layers under test (docs/CLUSTER.md "Coordinator and shard
+endpoints"):
 
 1. the worker wire protocol — ``hello`` handshake with ``proto``
    version negotiation, shard ops (query/batch/insert/delete/digest),
@@ -32,6 +33,7 @@ from repro import (
 from repro.cluster import (
     ClusterStateError,
     RemoteClusterTree,
+    RemoteShard,
     ReshardPolicy,
     ShardWorkerServer,
     WireProtocolError,
@@ -442,10 +444,7 @@ class TestLiveReshard:
         thread = threading.Thread(target=prober, daemon=True)
         try:
             thread.start()
-            loads = [
-                (descriptor.pois, index)
-                for index, descriptor in enumerate(remote._descriptors)
-            ]
+            loads = [(shard.descriptor.pois, shard.index) for shard in remote.shards]
             source = max(loads)[1]
             low, high = split_shard(remote, source)
             stop.set()
@@ -588,17 +587,17 @@ class TestLiveReshard:
         oracle = [rows_of(single.query(query)) for query in queries]
         remote = RemoteClusterTree.start(directory)
         try:
-            original = RemoteClusterTree._absorb_state
+            original = RemoteShard.absorb
 
-            def boom(self, shard, payload):
+            def boom(self, payload):
                 if remote._resharding:
                     raise RuntimeError("injected post-commit crash")
-                return original(self, shard, payload)
+                return original(self, payload)
 
-            monkeypatch.setattr(RemoteClusterTree, "_absorb_state", boom)
+            monkeypatch.setattr(RemoteShard, "absorb", boom)
             with pytest.raises(RuntimeError, match="post-commit crash"):
                 split_shard(remote, 0)
-            monkeypatch.setattr(RemoteClusterTree, "_absorb_state", original)
+            monkeypatch.setattr(RemoteShard, "absorb", original)
             # The committed state survived the failure.
             manifest = read_manifest(directory)
             assert manifest["plan_epoch"] == 1

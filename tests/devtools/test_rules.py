@@ -559,6 +559,88 @@ class TestGuardedShardDispatch:
         )
         assert findings == []
 
+    def test_unguarded_endpoint_call_fires(self, lint_source):
+        # The coordinator reaches a shard — in process or in a worker —
+        # only through its endpoint; an endpoint call outside a guard
+        # thunk skips the deadline and the breaker on either transport.
+        findings = lint_source(
+            "repro/cluster/mod.py",
+            """
+            class Coordinator:
+                def owns(self, shard, poi_id):
+                    return shard.contains(poi_id)
+            """,
+        )
+        assert rule_ids_of(findings) == ["RT007"]
+
+    def test_endpoint_call_inside_a_guard_lambda_is_clean(self, lint_source):
+        findings = lint_source(
+            "repro/cluster/mod.py",
+            """
+            class Coordinator:
+                def owns(self, shard, poi_id):
+                    return self._guards[shard.index].call(
+                        "query", lambda token: shard.contains(poi_id)
+                    )
+
+                def query(self, query):
+                    return self.query(query)
+            """,
+        )
+        assert findings == []
+
+    def test_endpoint_lifecycle_calls_are_not_dispatch(self, lint_source):
+        findings = lint_source(
+            "repro/cluster/mod.py",
+            """
+            def checkpoint(self, shards):
+                return [shard.checkpoint() for shard in shards]
+
+            def close(self, shards):
+                for shard in shards:
+                    shard.close()
+            """,
+        )
+        assert findings == []
+
+    def test_endpoint_implementations_are_the_far_side(self, lint_source):
+        findings = lint_source(
+            "repro/cluster/mod.py",
+            """
+            from repro.core.knnta import knnta_search
+
+            class Endpoint:
+                def query(self, token, query, normalizer):
+                    with self.lock.read_locked():
+                        return knnta_search(self.tree, query), None
+
+                def batch(self, token, queries, normalizers):
+                    return self.remote.batch(queries)
+
+                def insert(self, token, poi, aggregates):
+                    return self.remote.insert(poi)
+
+                def delete(self, token, poi_id):
+                    return self.remote.delete(poi_id)
+
+                def digest(self, token, epoch, counts):
+                    return self.remote.digest(epoch, counts)
+
+                def contains(self, poi_id):
+                    return self.remote.contains(poi_id)
+
+                def describe(self):
+                    return self.remote.describe()
+
+                def scrub(self, budget):
+                    return self.remote.scrub(budget)
+
+                def reopen(self, directory):
+                    return self.remote.reopen(directory)
+            """,
+        )
+        assert findings == []
+
     def test_resilience_module_is_exempt(self, lint_source):
         findings = lint_source(
             "repro/cluster/resilience.py",
