@@ -39,8 +39,8 @@ coordinator with the same query surface (``python -m repro shard`` /
 ``serve --cluster``).
 
 Standing queries live in :mod:`repro.continuous`: a
-:class:`~repro.continuous.SubscriptionRegistry` re-evaluates sliding-
-window kNNTA subscriptions incrementally as epochs are digested and
+:class:`~repro.continuous.SubscriptionRegistry` re-runs each sliding-
+window kNNTA subscription's one-shot query as epochs are digested and
 pushes ordered top-k deltas (``python -m repro watch``; see
 ``docs/CONTINUOUS.md``).
 """

@@ -357,10 +357,10 @@ def build_parser():
             "--window epochs, then — with --dataset — replay the data "
             "set's check-ins past the tree's current time, digesting one "
             "epoch at a time and printing each pushed update's ordered "
-            "enter/leave/move deltas (incremental re-evaluation; see "
-            "docs/CONTINUOUS.md). Works over a tree file or a cluster "
-            "directory written by 'shard'. Without --dataset the initial "
-            "answer is printed and the command exits."
+            "enter/leave/move deltas (see docs/CONTINUOUS.md). Works over "
+            "a tree file or a cluster directory written by 'shard'. "
+            "Without --dataset the initial answer is printed and the "
+            "command exits."
         ),
     )
     watch.add_argument(
@@ -726,14 +726,13 @@ def _command_watch(args, out):
     def show(update):
         window = update.window
         print(
-            "seq %d: window [%g, %g] (epochs %d..%d), %s%s"
+            "seq %d: window [%g, %g] (epochs %d..%d)%s"
             % (
                 update.seq,
                 window.interval.start,
                 window.interval.end,
                 window.first_epoch,
                 window.latest_epoch,
-                "incremental" if update.incremental else "fresh search",
                 ", DEGRADED" if update.degraded else "",
             ),
             file=out,

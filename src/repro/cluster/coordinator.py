@@ -660,8 +660,8 @@ class ClusterTree(Generic[_Endpoint]):
     # -- the in-process tree surface ------------------------------------
     #
     # Direct, unguarded reads of the shard trees — the sequential-scan
-    # oracle and the subscription evaluator read a cluster this way.  A
-    # worker cluster holds no trees and refuses them.
+    # oracle reads a cluster this way.  A worker cluster holds no trees
+    # and refuses them.
 
     def _trees(self, needs: str) -> list[TARTree]:
         trees = [shard.tree for shard in self.shards if isinstance(shard, Shard)]

@@ -495,10 +495,6 @@ class RemoteClusterTree(ClusterTree[RemoteShard]):
     best-bound-first walk.
     """
 
-    #: Standing subscriptions evaluate against in-heap trees; a remote
-    #: coordinator has none, and the service refuses the op up front.
-    supports_subscriptions = False
-
     #: Its own attribute, not just inherited: the benchmark tracer
     #: (perfbench/spans.py) wraps ``RemoteClusterTree.__dict__["query"]``.
     query = ClusterTree.query

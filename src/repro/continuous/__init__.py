@@ -6,31 +6,21 @@ package keeps that answer *standing*: a client registers
 :class:`SubscriptionRegistry` and receives the initial ranked answer
 plus ordered top-k deltas (enter / leave / rank-move, each update
 carrying the window interval that produced it) every time the window
-advances.  Evaluation is incremental — only the POIs whose TIAs changed
-in the entering/leaving/digested epochs are re-scored against the
-retained frontier, with a proven bound deciding when a fresh
-bound-pruned search is required — and every pushed state is
-bit-identical to a one-shot ``tree.query()`` at that window.  See
-``docs/CONTINUOUS.md``.
+advances.  Each advance re-runs every subscription's bound-pruned
+one-shot ``tree.query()`` at its current window, so every pushed state
+is that one-shot answer by construction.  See ``docs/CONTINUOUS.md``.
 """
 
 from repro.continuous.deltas import DeltaKind, TopKDelta, WindowUpdate, diff_topk
-from repro.continuous.evaluator import (
-    Baseline,
-    EvalOutcome,
-    IncrementalEvaluator,
+from repro.continuous.registry import (
+    Subscription,
+    SubscriptionRegistry,
     SubscriptionSpec,
 )
-from repro.continuous.index import EpochIndex
-from repro.continuous.registry import Subscription, SubscriptionRegistry
 from repro.continuous.windows import WindowState, window_state
 
 __all__ = [
-    "Baseline",
     "DeltaKind",
-    "EpochIndex",
-    "EvalOutcome",
-    "IncrementalEvaluator",
     "Subscription",
     "SubscriptionRegistry",
     "SubscriptionSpec",

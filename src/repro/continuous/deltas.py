@@ -66,9 +66,6 @@ class WindowUpdate(NamedTuple):
     :class:`~repro.core.query.RankedAnswer`, or a degraded answer when
     a cluster shard is down — check ``answer.exact``); ``deltas`` the
     ordered changes against the previously *pushed* state.
-    ``incremental`` records whether the evaluator re-scored only the
-    changed candidates (``True``) or fell back to a fresh bound-pruned
-    search (``False``).
     """
 
     subscription_id: int
@@ -76,7 +73,6 @@ class WindowUpdate(NamedTuple):
     window: "WindowState"
     answer: Answer
     deltas: Tuple[TopKDelta, ...]
-    incremental: bool
 
     @property
     def exact(self) -> bool:

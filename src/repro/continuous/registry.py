@@ -1,21 +1,25 @@
-"""Standing-subscription registry: observe mutations, push deltas.
+"""Standing-subscription registry: re-run on advance, push deltas.
 
 :class:`SubscriptionRegistry` owns the continuous-query lifecycle for
 one tree (a single :class:`~repro.core.tar_tree.TARTree` or a
-:class:`~repro.cluster.coordinator.ClusterTree`):
+:class:`~repro.cluster.coordinator.ClusterTree` on either shard
+transport):
 
-* it attaches a post-mutation observer to the tree (each shard's tree,
-  for a cluster) and accumulates the POI ids whose TIAs changed — the
-  *dirty set* the incremental evaluator re-scores;
-* :meth:`subscribe` answers the standing query once, fresh, and
-  retains the exact frontier as the incremental baseline;
+* :meth:`subscribe` answers the standing query once and returns that
+  answer as the seq-0 update;
 * :meth:`advance` — called after mutations were applied (the service
   calls it from ``digest`` under its read lock) — re-evaluates every
   subscription, pushes a :class:`~repro.continuous.deltas.WindowUpdate`
   to each sink whose window moved or whose top-k changed, and returns
   the pushed updates.
 
-Locking: three locks from the canonical hierarchy
+Every evaluation is one bound-pruned ``tree.query()`` at the
+subscription's current :func:`~repro.continuous.windows.window_state`
+(:meth:`SubscriptionRegistry._evaluate`, the only call site), so a
+pushed state is the one-shot answer by construction.  No mutation
+feed is observed: the re-run reads whatever the tree holds.
+
+Locking: two locks from the canonical hierarchy
 (:mod:`repro.devtools.lockmodel`).  The *advance gate* (rank 0, the
 outermost lock in the whole engine) serialises fan-out rounds
 end-to-end — evaluate, record, deliver — so each sink still sees its
@@ -28,9 +32,9 @@ the mutex, and sinks run on a snapshot under the gate alone, so a
 sink may freely re-enter the registry or the owning service
 (``unsubscribe`` from inside a sink acquires rank 50 or rank 10 under
 rank 0 — a legal descent, where the old held-mutex delivery
-deadlocked).  The observer callback touches
-only the separate *dirty-set* lock (rank 75), never the tree, so it
-can run under the tree's write locks without lock-order risk.
+deadlocked).  On a worker cluster the evaluation phase makes socket
+round trips, so the gate is held across them, as it is across the
+futures of an in-process parallel scatter.
 
 Callers must not mutate the tree concurrently with :meth:`advance`;
 the service passes its readers-writer lock (``advance(lock=...)``)
@@ -41,22 +45,31 @@ the evaluation phase while letting concurrent queries proceed.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.continuous.deltas import WindowUpdate, diff_topk
-from repro.continuous.evaluator import (
-    Baseline,
-    IncrementalEvaluator,
-    SubscriptionSpec,
-)
-from repro.continuous.index import EpochIndex
-from repro.continuous.windows import WindowState
-from repro.core.query import QueryResult
-from repro.devtools.lockmodel import ADVANCE_GATE, DIRTY, REGISTRY
+from repro.continuous.windows import WindowState, window_state
+from repro.core.query import Answer, KNNTAQuery, QueryResult
+from repro.devtools.lockmodel import ADVANCE_GATE, REGISTRY
 from repro.devtools.watchdog import monitored_lock, monitored_rlock
 from repro.temporal.tia import IntervalSemantics
 
 UpdateSink = Callable[[WindowUpdate], None]
+
+#: One evaluation: the answer and the window that produced it.
+Outcome = Tuple[Answer, WindowState]
+
+
+@dataclass
+class SubscriptionSpec:
+    """The immutable parameters of one standing query."""
+
+    point: Tuple[float, float]
+    window_epochs: int
+    k: int = 10
+    alpha0: float = 0.3
+    semantics: IntervalSemantics = IntervalSemantics.INTERSECTS
 
 
 class Subscription:
@@ -67,7 +80,6 @@ class Subscription:
         "spec",
         "sink",
         "seq",
-        "baseline",
         "last_rows",
         "last_window",
         "last_exact",
@@ -81,7 +93,6 @@ class Subscription:
         self.spec = spec
         self.sink = sink
         self.seq = 0
-        self.baseline = Baseline()
         self.last_rows: Tuple[QueryResult, ...] = ()
         self.last_window: Optional[WindowState] = None
         self.last_exact = True
@@ -101,69 +112,35 @@ class SubscriptionRegistry:
 
     def __init__(self, tree: Any) -> None:
         self.tree = tree
+        self._is_cluster = bool(getattr(tree, "is_cluster", False))
         self._advance_gate = monitored_lock(ADVANCE_GATE)
         self._mutex = monitored_rlock(REGISTRY)
-        self._dirty_lock = monitored_lock(DIRTY)
-        self._dirty: Set[Any] = set()
-        self._index = EpochIndex()
-        self._evaluator = IncrementalEvaluator(tree, self._index)
         self._subscriptions: Dict[int, Subscription] = {}
         self._next_id = 1
-        self._observed: List[Any] = []
-        self._indexed = False
         self._closed = False
         # Counters (all monotonic except the derived active count).
         self._subscribed_total = 0
         self._updates_delivered = 0
-        self._incremental_evals = 0
         self._fresh_evals = 0
         self._eval_errors = 0
         self._delivery_errors = 0
 
-    # ------------------------------------------------------------------
-    # Mutation feed
-    # ------------------------------------------------------------------
+    def _evaluate(self, spec: SubscriptionSpec) -> Outcome:
+        """The one-shot answer to ``spec`` at the tree's current window.
 
-    def _observe(self, kind: str, poi_ids: Tuple[Any, ...]) -> None:
-        """Post-mutation observer: record the touched POIs, nothing else."""
-        with self._dirty_lock:
-            self._dirty.update(poi_ids)
-
-    def _drain_dirty(self) -> Set[Any]:
-        with self._dirty_lock:
-            dirty = self._dirty
-            self._dirty = set()
-        return dirty
-
-    def _observable_trees(self) -> List[Any]:
-        shards = getattr(self.tree, "shards", None)
-        if shards is None:
-            return [self.tree]
-        return [shard.tree for shard in shards]
-
-    def _attach_observers(self) -> bool:
-        """(Re-)attach to every underlying tree; True when any changed.
-
-        Shard recovery replaces a shard's tree object wholesale, which
-        silently drops our observer — so every advance re-checks the
-        identity of the observed trees and, on any change, rebuilds the
-        epoch index and forces fresh evaluations (mutations on the
-        replaced tree may have gone unobserved).
+        A cluster answers with ``allow_degraded``: a shard down pushes
+        an explicit degraded update instead of failing the round.
         """
-        current = self._observable_trees()
-        changed = False
-        for tree in current:
-            if not any(tree is seen for seen in self._observed):
-                tree.add_mutation_observer(self._observe)
-                changed = True
-        if changed or len(current) != len(self._observed):
-            self._observed = current
-        return changed
-
-    def _detach_observers(self) -> None:
-        for tree in self._observed:
-            tree.remove_mutation_observer(self._observe)
-        self._observed = []
+        tree = self.tree
+        window = window_state(
+            tree.clock, tree.current_time, spec.window_epochs, spec.semantics
+        )
+        query = KNNTAQuery(
+            spec.point, window.interval, spec.k, spec.alpha0, spec.semantics
+        )
+        if self._is_cluster:
+            return tree.query(query, allow_degraded=True), window
+        return tree.query(query), window
 
     # ------------------------------------------------------------------
     # Subscription lifecycle
@@ -181,16 +158,14 @@ class SubscriptionRegistry:
         """Register a standing query; returns it with its initial state.
 
         The initial :class:`WindowUpdate` (``seq`` 0, every row an
-        ``ENTER`` delta, from a fresh bound-pruned search) is *returned*,
-        not pushed — ``sink`` receives only the subsequent updates.
+        ``ENTER`` delta) is *returned*, not pushed — ``sink`` receives
+        only the subsequent updates.
 
-        The fresh evaluation runs *outside* the registry mutex: on a
-        cluster tree it dispatches through shard guards, whose shard
-        (rank 30) and breaker (rank 40) locks rank above the mutex
-        (rank 50) — evaluating under the mutex would ascend the
-        hierarchy.  The mutex covers only the two state phases around
-        it.  The epoch index is not needed here (a fresh evaluation
-        bypasses it); the first :meth:`advance` builds it.
+        The evaluation runs *outside* the registry mutex: on a cluster
+        tree it dispatches through shard guards, whose shard (rank 30)
+        and breaker (rank 40) locks rank above the mutex (rank 50) —
+        evaluating under the mutex would ascend the hierarchy.  The
+        mutex covers only the two state checks around it.
         """
         spec = SubscriptionSpec(
             point=(float(point[0]), float(point[1])),
@@ -202,17 +177,14 @@ class SubscriptionRegistry:
         with self._mutex:
             if self._closed:
                 raise RuntimeError("subscription registry is closed")
-            self._attach_observers()
-            subscription = Subscription(self._next_id, spec, sink)
-            self._next_id += 1
-        outcome = self._evaluator.evaluate(
-            spec, subscription.baseline, set(), force_fresh=True
-        )
+        answer, window = self._evaluate(spec)
         with self._mutex:
             if self._closed:
                 raise RuntimeError("subscription registry is closed")
+            subscription = Subscription(self._next_id, spec, sink)
+            self._next_id += 1
             self._fresh_evals += 1
-            update = self._record_update(subscription, outcome.window, outcome)
+            update = self._record_update(subscription, window, answer)
             self._subscriptions[subscription.id] = subscription
             self._subscribed_total += 1
             return subscription, update
@@ -252,7 +224,7 @@ class SubscriptionRegistry:
         caller owns a readers-writer lock guarding the tree (the
         service passes its own) — is taken on the *read* side for the
         evaluation phase only, so writers are excluded exactly while
-        evaluators walk the tree and sinks never run under it.
+        the queries walk the tree and sinks never run under it.
         """
         with self._advance_gate:
             if lock is not None:
@@ -267,38 +239,21 @@ class SubscriptionRegistry:
         """One fan-out round: snapshot, evaluate, record.
 
         Three phases so the mutex (rank 50) is never held while the
-        evaluators walk the tree — on a cluster that dispatch takes
-        shard (rank 30) and breaker (rank 40) locks, which rank above
-        the mutex.  Phase 1 snapshots round state under the mutex;
-        the evaluation phase runs under the gate (and the caller's
-        read lock) alone; phase 2 re-checks membership and records
-        under the mutex.  Delivery happens later, under the gate only.
+        queries walk the tree — on a cluster that dispatch takes shard
+        (rank 30) and breaker (rank 40) locks, which rank above the
+        mutex.  Phase 1 snapshots the subscriptions under the mutex;
+        the evaluation phase runs under the gate (and the caller's read
+        lock) alone; phase 2 re-checks membership and records under the
+        mutex.  Delivery happens later, under the gate only.
         """
         with self._mutex:
             if self._closed or not self._subscriptions:
-                # Leave the dirty set intact: it is a bounded set of POI
-                # ids and the next subscriber's advance refreshes the
-                # epoch index from it.
                 return []
-            force_fresh = self._attach_observers()
-            rebuild = force_fresh or not self._indexed
-            dirty = self._drain_dirty()
             subscriptions = list(self._subscriptions.values())
-        # The gate serialises rounds and subscribe never touches the
-        # index, so the index and the per-subscription baselines are
-        # exclusively ours between the phases.
-        if rebuild:
-            self._index.rebuild(self.tree)
-            self._indexed = True
-        else:
-            for poi_id in dirty:
-                self._index.refresh(self.tree, poi_id)
-        outcomes: List[Tuple[Subscription, Optional[Any]]] = []
-        for subscription in subscriptions:
-            outcomes.append(
-                (subscription, self._evaluate_one(subscription, dirty,
-                                                  force_fresh))
-            )
+        outcomes = [
+            (subscription, self._evaluate_one(subscription.spec))
+            for subscription in subscriptions
+        ]
         with self._mutex:
             if self._closed:
                 return []
@@ -311,39 +266,28 @@ class SubscriptionRegistry:
                     delivered.append((subscription.sink, update))
             return delivered
 
-    def _evaluate_one(
-        self, subscription: Subscription, dirty: Set[Any], force_fresh: bool
-    ) -> Optional[Any]:
+    def _evaluate_one(self, spec: SubscriptionSpec) -> Optional[Outcome]:
         """Evaluate one subscription without registry locks held."""
         try:
-            return self._evaluator.evaluate(
-                subscription.spec,
-                subscription.baseline,
-                dirty,
-                force_fresh=force_fresh,
-            )
+            return self._evaluate(spec)
         except Exception:
-            subscription.baseline.invalidate()
             return None
 
     def _record_one(
-        self, subscription: Subscription, outcome: Optional[Any]
+        self, subscription: Subscription, outcome: Optional[Outcome]
     ) -> Optional[WindowUpdate]:
         """Record one outcome under the mutex; None when nothing moved."""
         if outcome is None:
             self._eval_errors += 1
             return None
-        if outcome.incremental:
-            self._incremental_evals += 1
-        else:
-            self._fresh_evals += 1
-        rows = tuple(outcome.answer.rows)
-        moved = outcome.window != subscription.last_window
-        changed = rows != subscription.last_rows
-        flipped = bool(outcome.answer.exact) != subscription.last_exact
+        self._fresh_evals += 1
+        answer, window = outcome
+        moved = window != subscription.last_window
+        changed = tuple(answer.rows) != subscription.last_rows
+        flipped = bool(answer.exact) != subscription.last_exact
         if not (moved or changed or flipped):
             return None
-        update = self._record_update(subscription, outcome.window, outcome)
+        update = self._record_update(subscription, window, answer)
         self._updates_delivered += 1
         return update
 
@@ -369,21 +313,20 @@ class SubscriptionRegistry:
         self,
         subscription: Subscription,
         window: WindowState,
-        outcome: Any,
+        answer: Answer,
     ) -> WindowUpdate:
-        rows = tuple(outcome.answer.rows)
+        rows = tuple(answer.rows)
         update = WindowUpdate(
             subscription_id=subscription.id,
             seq=subscription.seq,
             window=window,
-            answer=outcome.answer,
+            answer=answer,
             deltas=diff_topk(subscription.last_rows, rows),
-            incremental=outcome.incremental,
         )
         subscription.seq += 1
         subscription.last_rows = rows
         subscription.last_window = window
-        subscription.last_exact = bool(outcome.answer.exact)
+        subscription.last_exact = bool(answer.exact)
         subscription.last_update = update
         return update
 
@@ -398,19 +341,13 @@ class SubscriptionRegistry:
                 "subscriptions.active": len(self._subscriptions),
                 "subscriptions.total": self._subscribed_total,
                 "updates.delivered": self._updates_delivered,
-                "evals.incremental": self._incremental_evals,
                 "evals.fresh": self._fresh_evals,
                 "evals.errors": self._eval_errors,
                 "deliveries.failed": self._delivery_errors,
             }
 
     def close(self) -> None:
-        """Detach observers and drop every subscription."""
+        """Drop every subscription; later subscribes raise."""
         with self._mutex:
-            if self._closed:
-                return
             self._closed = True
-            self._detach_observers()
             self._subscriptions.clear()
-            with self._dirty_lock:
-                self._dirty.clear()

@@ -7,8 +7,8 @@ window_epochs, semantics)`` into the concrete
 :class:`~repro.core.query.KNNTAQuery` would carry — and, crucially, the
 epoch range is *derived from that interval* through
 ``clock.epoch_range(interval, semantics)``, never computed separately.
-That makes the incremental evaluator and a fresh ``tree.query()`` agree
-on the window by construction: both see exactly the epochs the interval
+That makes a subscription's window and the interval its ``tree.query()``
+carries agree by construction: both see exactly the epochs the interval
 selects under the subscription's semantics.
 
 The interval endpoints are chosen so the selected epochs are the

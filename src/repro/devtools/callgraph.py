@@ -13,8 +13,8 @@ one shared interprocedural view:
   local names, ``self.m(...)`` through the enclosing class and its
   resolvable bases, ``from repro.x import f``, ``import repro.x as y``
   aliases, constructor calls, and one level of attribute typing
-  (``self._evaluator = IncrementalEvaluator(...)`` in ``__init__``
-  makes ``self._evaluator.evaluate(...)`` resolvable);
+  (``self._registry = SubscriptionRegistry(tree)`` in ``__init__``
+  makes ``self._registry.advance(...)`` resolvable);
 * per-function :class:`FunctionSummary` values recording every call
   site and lock acquisition with the lexically-held lock stack, via a
   pluggable lock-site classifier (the canonical classifier lives in

@@ -39,7 +39,6 @@ lock                rank  guards
                           one request/response pair onto the wire;
                           socket I/O happens under it by design)
 ``queue-cond``      70    the service's request queue
-``dirty``           75    the registry's dirty POI set
 ``counter``         80    coordinator counters
 ``stats``           85    service stats counters
 ``server-error``    86    server error counters
@@ -70,7 +69,6 @@ __all__ = [
     "BREAKER",
     "CONN",
     "COUNTER",
-    "DIRTY",
     "HIERARCHY",
     "LOCKS",
     "LockDecl",
@@ -103,7 +101,6 @@ REGISTRY = "registry"
 PUSH = "push"
 CONN = "conn"
 QUEUE_COND = "queue-cond"
-DIRTY = "dirty"
 COUNTER = "counter"
 STATS = "stats"
 SERVER_ERROR = "server-error"
@@ -172,7 +169,6 @@ HIERARCHY: tuple[LockDecl, ...] = (
              "request/response pair onto the wire)",
              blocking_allowed=frozenset({"socket"})),
     LockDecl(QUEUE_COND, 70, "condition", "the service's request queue"),
-    LockDecl(DIRTY, 75, "mutex", "the registry's dirty POI set"),
     LockDecl(COUNTER, 80, "mutex", "coordinator counters"),
     LockDecl(STATS, 85, "mutex", "service stats counters"),
     LockDecl(SERVER_ERROR, 86, "mutex", "server error counters"),
@@ -201,7 +197,6 @@ BLOCKING_ALLOWED_MODULES: tuple[str, ...] = (
 _ATTR_SITES: tuple[tuple[str, str, str], ...] = (
     ("repro.continuous", "_advance_gate", ADVANCE_GATE),
     ("repro.continuous", "_mutex", REGISTRY),
-    ("repro.continuous", "_dirty_lock", DIRTY),
     ("repro.service.stats", "_mutex", STATS),
     ("repro.service.server", "_error_lock", SERVER_ERROR),
     ("repro.service.server", "_lock", PUSH),

@@ -312,7 +312,7 @@ class LockDisciplineRule(ProgramRule):
     def applies_to(self, module: str) -> bool:
         # The cluster coordinator holds one lock per shard and owes each
         # shard tree the exact same protocol the service owes its tree;
-        # the continuous layer's evaluators run under the same locks.
+        # the continuous layer's queries run under the same locks.
         return module.startswith(
             ("repro.service", "repro.cluster", "repro.continuous")
         )
@@ -511,11 +511,11 @@ class FloatEqualityRule(Rule):
 
     ``spatial.geometry`` and ``core.costmodel`` feed the kNNTA bound
     arithmetic, and the numeric hot paths added since PR 4 — the packed
-    node frames, the incremental evaluator and the resilience scoring —
-    carry the same hazard: an exact float comparison there encodes an
-    accidental tolerance of zero.  Compare with :func:`math.isclose` or
-    an explicit epsilon.  ``__eq__``/``__ne__``/``__hash__`` bodies are
-    exempt — value types intentionally define exact equality.
+    node frames and the resilience scoring — carry the same hazard: an
+    exact float comparison there encodes an accidental tolerance of
+    zero.  Compare with :func:`math.isclose` or an explicit epsilon.
+    ``__eq__``/``__ne__``/``__hash__`` bodies are exempt — value types
+    intentionally define exact equality.
     """
 
     rule_id = "RT004"
@@ -535,7 +535,6 @@ class FloatEqualityRule(Rule):
             "repro.spatial.geometry",
             "repro.core.costmodel",
             "repro.core.frames",
-            "repro.continuous.evaluator",
             "repro.cluster.resilience",
         )
 

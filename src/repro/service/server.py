@@ -43,7 +43,7 @@ the op's payload or ``{"error": ..., "code": ...}``.  Supported ops:
     delta).  From then on the *server pushes* one unsolicited frame per
     window advance on the same connection, marked ``"push": "update"``
     and carrying ``subscription``/``seq``/``window``/``results``/
-    ``deltas``/``incremental``/``degraded`` (plus ``missed_shards`` /
+    ``deltas``/``degraded`` (plus ``missed_shards`` /
     ``coverage`` / ``score_bound`` when degraded — a shard-down
     cluster degrades subscriptions explicitly, like one-shot queries).
     Push frames interleave between response lines; clients route on
@@ -362,7 +362,6 @@ class JsonLineServer:
             "window": update.window.describe(),
             "results": _result_rows(update.answer.rows),
             "deltas": [delta.describe() for delta in update.deltas],
-            "incremental": update.incremental,
             "degraded": update.degraded,
         }
         if update.degraded:

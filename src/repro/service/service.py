@@ -25,7 +25,7 @@ durability) behind three coordinated mechanisms:
 * **Standing subscriptions** — :meth:`subscribe` registers a sliding-
   window kNNTA query with the
   :class:`~repro.continuous.registry.SubscriptionRegistry`; every
-  :meth:`digest` re-evaluates the live subscriptions incrementally
+  :meth:`digest` re-runs the live subscriptions' one-shot queries
   (under the read lock, after the batch applied) and pushes ordered
   top-k deltas to their sinks.  See ``docs/CONTINUOUS.md``.
 
@@ -303,9 +303,8 @@ class QueryService:
         self._worker_crash = None
         self._scrub_thread = None
         self._scrub_stop = threading.Event()
-        # Standing sliding-window subscriptions (repro.continuous).  The
-        # registry is inert until the first subscribe (no observers, no
-        # epoch index); digest() drives its fan-out.
+        # Standing sliding-window subscriptions (repro.continuous);
+        # digest() drives their fan-out.
         self._registry = SubscriptionRegistry(tree)
         if self._cluster and hasattr(tree, "add_health_observer"):
             # Shard health events (breaker transitions, timeouts,
@@ -495,11 +494,6 @@ class QueryService:
         is safe) — it should still be quick, since delivery serialises
         the fan-out rounds.
         """
-        if not getattr(self.tree, "supports_subscriptions", True):
-            raise ValueError(
-                "standing subscriptions need an in-process tree; "
-                "%s serves shards out of process" % type(self.tree).__name__
-            )
         kwargs = {} if semantics is None else {"semantics": semantics}
         with self.lock.write_locked():
             if self._closed:

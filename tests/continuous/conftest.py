@@ -23,13 +23,16 @@ def half_tree(small_dataset):
     return TARTree.build(small_dataset.snapshot(0.7))
 
 
-def replay(tree, dataset, limit=None):
-    """Yield ``(epoch, counts)`` digests past the tree's current time."""
+def replay(tree, dataset, limit=None, poi_ids=None):
+    """Yield ``(epoch, counts)`` digests past the tree's current time.
+
+    ``poi_ids`` restricts the stream (default: the tree's POIs).
+    """
     stream = epoch_stream(
         dataset,
         tree.clock,
         start_time=tree.current_time,
-        poi_ids=list(tree.poi_ids()),
+        poi_ids=list(tree.poi_ids()) if poi_ids is None else poi_ids,
     )
     for count, (epoch, counts) in enumerate(stream):
         if limit is not None and count >= limit:

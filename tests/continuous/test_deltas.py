@@ -83,7 +83,7 @@ class TestDiffTopk:
 class TestWindowUpdate:
     def make(self, answer):
         window = window_state(EpochClock(0.0, 7.0), 70.0, 3)
-        return WindowUpdate(1, 0, window, answer, (), True)
+        return WindowUpdate(1, 0, window, answer, ())
 
     def test_exact_answer_is_not_degraded(self):
         update = self.make(RankedAnswer([row("a", 0.1)]))

@@ -1,13 +1,12 @@
 """The subscription contract: every pushed state is bit-identical to a
 one-shot ``tree.query()`` at that window.
 
-This is the property the incremental evaluator's bound argument (see
-``repro/continuous/evaluator.py``) must uphold: whatever mix of digests,
-inserts and deletes slid the window there, a subscriber's ranked rows —
-scores, distances, aggregates, order, exactness — equal what a client
-issuing the equivalent :class:`~repro.KNNTAQuery` at that instant would
-get.  Single tree and cluster, including across a shard kill, explicit
-degradation, and online recovery.
+Whatever mix of digests, inserts and deletes slid the window there, a
+subscriber's ranked rows — scores, distances, aggregates, order,
+exactness — equal what a client issuing the equivalent
+:class:`~repro.KNNTAQuery` at that instant would get.  Single tree and
+cluster (in process and over worker processes), including across a
+shard kill, explicit degradation, and online recovery.
 """
 
 import random
@@ -28,6 +27,7 @@ from repro.continuous import window_state
 from repro.reliability.faults import FaultInjector, constant
 from repro.temporal.tia import IntervalSemantics
 
+from tests.cluster.conftest import open_on
 from tests.continuous.conftest import replay
 
 NO_SLEEP = ResilienceConfig(sleep=lambda _: None)
@@ -89,7 +89,6 @@ class TestSingleTreeEquivalence:
             advances += 1
         assert advances >= 5
         counters = registry.counters()
-        assert counters["evals.incremental"] > 0  # the fast path ran
         assert counters["evals.errors"] == 0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -127,9 +126,27 @@ class TestSingleTreeEquivalence:
             for sub, spec in subs:
                 assert_state_matches(tree, sub, spec)
         counters = registry.counters()
-        assert counters["evals.incremental"] > 0
-        assert counters["evals.fresh"] > 0  # fallbacks exercised too
+        assert counters["evals.fresh"] > 0
         assert counters["evals.errors"] == 0
+
+
+@pytest.fixture
+def transport():
+    """In process under the original names;
+    :class:`TestClusterEquivalenceOnWorkers` re-runs the digest stream
+    over worker processes."""
+    return "inproc"
+
+
+@pytest.fixture
+def cluster(small_dataset, transport, tmp_path):
+    """The snapshot ``TestClusterEquivalence.build`` shards, served on
+    ``transport``."""
+    with open_on(
+        transport, small_dataset.snapshot(0.7), tmp_path / "c",
+        num_shards=3, resilience=NO_SLEEP, allow_degraded=True,
+    ) as served:
+        yield served
 
 
 class TestClusterEquivalence:
@@ -142,21 +159,23 @@ class TestClusterEquivalence:
         )
 
     def test_digest_stream_matches_cluster_query(
-        self, small_dataset
+        self, small_dataset, cluster
     ):
-        cluster = self.build(small_dataset)
         registry = SubscriptionRegistry(cluster)
         subs = [
             (registry.subscribe(spec[0], spec[1], k=spec[2], alpha0=spec[3],
                                 semantics=spec[4])[0], spec)
             for spec in SPECS
         ]
-        for epoch, counts in replay(cluster, small_dataset, limit=8):
+        # A worker cluster cannot list its POIs; the snapshot's effective
+        # POIs are the ones every shard was built from.
+        poi_ids = small_dataset.snapshot(0.7).effective_poi_ids()
+        for epoch, counts in replay(cluster, small_dataset, limit=8,
+                                    poi_ids=poi_ids):
             cluster.digest_epoch(epoch, counts)
             registry.advance()
             for sub, spec in subs:
                 assert_state_matches(cluster, sub, spec, allow_degraded=True)
-        assert registry.counters()["evals.incremental"] > 0
         assert registry.counters()["evals.errors"] == 0
 
     def test_shard_kill_degrades_explicitly_and_stays_equivalent(
@@ -233,8 +252,7 @@ class TestClusterEquivalence:
             revive_shard(injector, victim)
             cluster.recover_shard(victim)
             # recover_shard replaced the shard's tree object; the next
-            # advance must notice, re-attach its observer, rebuild the
-            # epoch index and force fresh evaluations.
+            # advance must query the replacement.
             for epoch, counts in stream[3:]:
                 cluster.digest_epoch(epoch, counts)
                 registry.advance()
@@ -243,3 +261,15 @@ class TestClusterEquivalence:
             assert registry.counters()["evals.errors"] == 0
         finally:
             cluster.close()
+
+
+class TestClusterEquivalenceOnWorkers:
+    """The cluster digest stream over one worker process per shard."""
+
+    @pytest.fixture
+    def transport(self):
+        return "workers"
+
+    test_digest_stream_matches_cluster_query = (
+        TestClusterEquivalence.test_digest_stream_matches_cluster_query
+    )

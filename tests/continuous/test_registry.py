@@ -1,4 +1,4 @@
-"""SubscriptionRegistry lifecycle: observers, pushes, counters, teardown."""
+"""SubscriptionRegistry lifecycle: subscribe, pushes, counters, teardown."""
 
 import pytest
 
@@ -25,7 +25,6 @@ class TestSubscribe:
         registry = SubscriptionRegistry(half_tree)
         sub, initial = registry.subscribe((40.0, 40.0), 3, k=5)
         assert initial.seq == 0
-        assert initial.incremental is False
         assert list(initial.answer.rows) == list(
             one_shot(half_tree, (40.0, 40.0), 3, k=5)
         )
@@ -102,15 +101,6 @@ class TestAdvance:
                 one_shot(half_tree, (40.0, 40.0), 3, k=5)
             )
 
-    def test_incremental_path_actually_runs(self, half_tree, small_dataset):
-        registry = SubscriptionRegistry(half_tree)
-        registry.subscribe((40.0, 40.0), 3, k=5)
-        for epoch, counts in replay(half_tree, small_dataset, limit=8):
-            half_tree.digest_epoch(epoch, counts)
-            registry.advance()
-        counters = registry.counters()
-        assert counters["evals.incremental"] > 0
-
     def test_unsubscribed_sink_receives_nothing(self, half_tree, small_dataset):
         pushed = []
         registry = SubscriptionRegistry(half_tree)
@@ -157,9 +147,8 @@ class TestAdvance:
         assert list(sub.last_rows) == list(one_shot(half_tree, (40.0, 40.0), 6, k=3))
 
     def test_dirty_set_survives_a_subscriberless_gap(self, half_tree):
-        # Regression: mutations between "last unsubscribe" and "next
-        # subscribe" must still refresh the epoch index on the next
-        # advance (the early return must not drain the dirty set).
+        # Mutations between "last unsubscribe" and "next subscribe" must
+        # show in the next subscriber's pushes.
         registry = SubscriptionRegistry(half_tree)
         sub, _ = registry.subscribe((40.0, 40.0), 3)
         registry.unsubscribe(sub)
@@ -169,7 +158,7 @@ class TestAdvance:
         assert registry.advance() == []  # no subscribers: nothing evaluated
         sub2, _ = registry.subscribe((40.0, 40.0), 3)
         registry.advance()
-        assert poi_id in registry._index.members([epoch])
+        assert list(sub2.last_rows) == list(one_shot(half_tree, (40.0, 40.0), 3))
 
 
 class TestCounters:
@@ -179,7 +168,6 @@ class TestCounters:
             "subscriptions.active": 0,
             "subscriptions.total": 0,
             "updates.delivered": 0,
-            "evals.incremental": 0,
             "evals.fresh": 0,
             "evals.errors": 0,
             "deliveries.failed": 0,
@@ -192,10 +180,7 @@ class TestCounters:
         assert counters["subscriptions.active"] == 1
         assert counters["subscriptions.total"] == 1
         assert counters["updates.delivered"] > 0
-        assert (
-            counters["evals.incremental"] + counters["evals.fresh"]
-            >= counters["updates.delivered"]
-        )
+        assert counters["evals.fresh"] >= counters["updates.delivered"]
         registry.unsubscribe(sub)
         after = registry.counters()
         assert after["subscriptions.active"] == 0
@@ -204,13 +189,16 @@ class TestCounters:
 
 class TestClose:
     def test_close_detaches_observers_and_drops_subscriptions(self, half_tree):
+        # Subscribing attaches no mutation observer, so close() has
+        # nothing to detach; it drops every subscription.
+        observers = list(half_tree._mutation_observers)
         registry = SubscriptionRegistry(half_tree)
         registry.subscribe((40.0, 40.0), 3)
-        assert half_tree.remove_mutation_observer(registry._observe) is True
-        half_tree.add_mutation_observer(registry._observe)
+        registry.subscribe((10.0, 10.0), 2)
+        assert half_tree._mutation_observers == observers
         registry.close()
         assert len(registry) == 0
-        assert half_tree.remove_mutation_observer(registry._observe) is False
+        assert registry.subscription_ids() == []
 
     def test_close_is_idempotent_and_advance_is_inert(self, half_tree):
         registry = SubscriptionRegistry(half_tree)

@@ -83,7 +83,7 @@ class TestSubscribeOp:
         response = subscribe(client)
         assert response["ok"]
         assert response["seq"] == 0
-        assert response["incremental"] is False
+        assert "incremental" not in response
         assert response["degraded"] is False
         assert response["results"]
         assert len(response["deltas"]) == len(response["results"])

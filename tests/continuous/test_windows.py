@@ -20,7 +20,7 @@ class TestWindowState:
         assert list(window.epochs) == [7, 8, 9]
 
     def test_epochs_come_from_epoch_range_not_arithmetic(self, clock):
-        # The invariant the incremental evaluator rests on: the window's
+        # The invariant subscription identity rests on: the window's
         # epoch range IS clock.epoch_range(interval, semantics), so a
         # fresh tree.query() over the same interval sees the same epochs.
         for semantics in IntervalSemantics:

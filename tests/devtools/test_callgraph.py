@@ -209,14 +209,14 @@ class TestCycles:
                 from repro.continuous.a import ping
 
                 def pong(depth):
-                    with _dirty_lock:
+                    with _advance_gate:
                         return ping(depth - 1)
                 """,
         })
         summaries = program.summaries(classify_site)
         may = program.transitive_acquisitions(summaries)
-        assert may["repro.continuous.a.ping"] == {"registry", "dirty"}
-        assert may["repro.continuous.b.pong"] == {"registry", "dirty"}
+        assert may["repro.continuous.a.ping"] == {"registry", "advance-gate"}
+        assert may["repro.continuous.b.pong"] == {"registry", "advance-gate"}
 
     def test_inheritance_cycle_does_not_recurse_forever(self):
         program = program_of(**{

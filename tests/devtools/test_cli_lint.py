@@ -106,8 +106,8 @@ class TestLintCommand:
 
 class TestLockGraph:
     def write_fixture(self, tmp_path, ascend=False):
-        outer = "self._dirty_lock" if ascend else "self._mutex"
-        inner = "self._mutex" if ascend else "self._dirty_lock"
+        outer = "self._mutex" if ascend else "self._advance_gate"
+        inner = "self._advance_gate" if ascend else "self._mutex"
         path = tmp_path / "repro" / "continuous" / "mod.py"
         path.parent.mkdir(parents=True)
         path.write_text(
@@ -124,7 +124,7 @@ class TestLockGraph:
         code, text = run(["lint", str(root), "--lock-graph"])
         assert code == 0
         assert text.startswith("digraph lock_order {")
-        assert '"registry" -> "dirty"' in text
+        assert '"advance-gate" -> "registry"' in text
 
     def test_json_output_carries_nodes_and_edges(self, tmp_path):
         root = self.write_fixture(tmp_path)
@@ -135,10 +135,10 @@ class TestLockGraph:
         payload = json.loads(text)
         assert payload["acyclic"] is True
         names = [node["name"] for node in payload["nodes"]]
-        assert "registry" in names and "dirty" in names
+        assert "advance-gate" in names and "registry" in names
         (edge,) = payload["edges"]
         assert (edge["src"], edge["dst"], edge["ok"]) == (
-            "registry", "dirty", True
+            "advance-gate", "registry", True
         )
 
     def test_violating_edge_exits_1_and_is_marked(self, tmp_path):
@@ -151,7 +151,7 @@ class TestLockGraph:
         assert payload["acyclic"] is False
         (edge,) = payload["edges"]
         assert (edge["src"], edge["dst"], edge["ok"]) == (
-            "dirty", "registry", False
+            "registry", "advance-gate", False
         )
 
     def test_lock_graph_requires_the_rt008_pass(self, tmp_path):

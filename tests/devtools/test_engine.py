@@ -95,8 +95,8 @@ class TestSuppressions:
 
             class Registry:
                 def bad(self):
-                    with self._dirty_lock:
-                        with self._mutex: time.sleep(0.1)  # repro: allow[RT008, RT009]
+                    with self._mutex:
+                        with self._advance_gate: time.sleep(0.1)  # repro: allow[RT008, RT009]
             """,
         )
         assert findings == []
@@ -109,8 +109,8 @@ class TestSuppressions:
             """
             class Registry:
                 def bad(self):
-                    with self._dirty_lock:
-                        with self._mutex:  # repro: allow[RT008, RT009]
+                    with self._mutex:
+                        with self._advance_gate:  # repro: allow[RT008, RT009]
                             pass
             """,
         )

@@ -718,14 +718,15 @@ class TestWarnStacklevel:
 
 class TestLockOrder:
     def test_rank_ascent_fires(self, lint_source):
-        # dirty (rank 75) held while taking the registry mutex (rank 50).
+        # The registry mutex (rank 50) held while taking the advance gate
+        # (rank 0).
         findings = lint_source(
             "repro/continuous/mod.py",
             """
             class Registry:
                 def bad(self):
-                    with self._dirty_lock:
-                        with self._mutex:
+                    with self._mutex:
+                        with self._advance_gate:
                             pass
             """,
         )
@@ -738,8 +739,8 @@ class TestLockOrder:
             """
             class Registry:
                 def good(self):
-                    with self._mutex:
-                        with self._dirty_lock:
+                    with self._advance_gate:
+                        with self._mutex:
                             pass
             """,
         )
@@ -751,8 +752,8 @@ class TestLockOrder:
             """
             class Registry:
                 def bad(self):
-                    with self._dirty_lock:
-                        with self._dirty_lock:
+                    with self._advance_gate:
+                        with self._advance_gate:
                             pass
             """,
         )
@@ -787,17 +788,17 @@ class TestLockOrder:
         assert "not declared in the lock model" in findings[0].message
 
     def test_cross_module_call_edge_fires(self, lint_tree):
-        # The ascent only exists interprocedurally: b holds the dirty
-        # lock and calls a.helper(), which takes the registry mutex.
+        # The ascent only exists interprocedurally: b holds the registry
+        # mutex and calls a.helper(), which takes the advance gate.
         findings = lint_tree(
             {
                 "repro/continuous/a.py": """
                     import threading
 
-                    _mutex = threading.RLock()
+                    _advance_gate = threading.Lock()
 
                     def helper():
-                        with _mutex:
+                        with _advance_gate:
                             return 1
                     """,
                 "repro/continuous/b.py": """
@@ -805,10 +806,10 @@ class TestLockOrder:
 
                     from repro.continuous.a import helper
 
-                    _dirty_lock = threading.Lock()
+                    _mutex = threading.RLock()
 
                     def outer():
-                        with _dirty_lock:
+                        with _mutex:
                             return helper()
                     """,
             },
@@ -826,19 +827,19 @@ class TestLockOrder:
                 "repro/continuous/a.py": """
                     import threading
 
-                    _mutex = threading.RLock()
+                    _advance_gate = threading.Lock()
 
                     def helper():
-                        with _mutex:
+                        with _advance_gate:
                             return 1
                     """,
                 "repro/continuous/b.py": """
                     import threading
 
-                    _dirty_lock = threading.Lock()
+                    _mutex = threading.RLock()
 
                     def outer(handler):
-                        with _dirty_lock:
+                        with _mutex:
                             return handler.helper()
                     """,
             },
@@ -852,8 +853,8 @@ class TestLockOrder:
             """
             class Registry:
                 def bad(self):
-                    with self._dirty_lock:
-                        with self._mutex:  # repro: allow[RT008]
+                    with self._mutex:
+                        with self._advance_gate:  # repro: allow[RT008]
                             pass
             """,
         )

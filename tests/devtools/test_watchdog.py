@@ -7,7 +7,7 @@ import pytest
 from repro.devtools import LockOrderViolation, LockOrderWatchdog
 from repro.devtools.lockmodel import (
     ADVANCE_GATE,
-    DIRTY,
+    COUNTER,
     REGISTRY,
     SERVICE_RW,
 )
@@ -40,26 +40,26 @@ class TestWatchdogStacks:
     def test_descending_acquisitions_pass_and_are_witnessed(self):
         watchdog = LockOrderWatchdog()
         watchdog.note_acquire(REGISTRY)
-        watchdog.note_acquire(DIRTY)
-        assert watchdog.held() == (REGISTRY, DIRTY)
-        watchdog.note_release(DIRTY)
+        watchdog.note_acquire(COUNTER)
+        assert watchdog.held() == (REGISTRY, COUNTER)
+        watchdog.note_release(COUNTER)
         watchdog.note_release(REGISTRY)
         assert watchdog.held() == ()
-        assert watchdog.witnessed_edges() == [(REGISTRY, DIRTY)]
+        assert watchdog.witnessed_edges() == [(REGISTRY, COUNTER)]
         assert watchdog.violations() == 0
 
     def test_rank_ascent_raises_before_blocking(self):
         watchdog = LockOrderWatchdog()
-        watchdog.note_acquire(DIRTY)
+        watchdog.note_acquire(COUNTER)
         with pytest.raises(LockOrderViolation, match="strictly descending"):
             watchdog.note_acquire(REGISTRY)
         assert watchdog.violations() == 1
 
     def test_non_reentrant_reacquisition_raises(self):
         watchdog = LockOrderWatchdog()
-        watchdog.note_acquire(DIRTY)
+        watchdog.note_acquire(COUNTER)
         with pytest.raises(LockOrderViolation, match="non-reentrant"):
-            watchdog.note_acquire(DIRTY)
+            watchdog.note_acquire(COUNTER)
 
     def test_reentrant_reacquisition_is_fine(self):
         watchdog = LockOrderWatchdog()
@@ -78,12 +78,12 @@ class TestWatchdogStacks:
 
     def test_stacks_are_thread_local(self):
         watchdog = LockOrderWatchdog()
-        watchdog.note_acquire(DIRTY)
+        watchdog.note_acquire(COUNTER)
         seen = []
 
         def other():
             seen.append(watchdog.held())
-            # DIRTY is held by the *other* thread: no ascent here.
+            # COUNTER is held by the *other* thread: no ascent here.
             watchdog.note_acquire(REGISTRY)
             seen.append(watchdog.held())
 
@@ -91,14 +91,14 @@ class TestWatchdogStacks:
         worker.start()
         worker.join()
         assert seen == [(), (REGISTRY,)]
-        assert watchdog.held() == (DIRTY,)
+        assert watchdog.held() == (COUNTER,)
 
 
 class TestMonitoredFactories:
     def test_factories_return_plain_locks_when_off(self):
         if active() is not None:
             pytest.skip("REPRO_LOCK_WATCHDOG is set for this run")
-        lock = monitored_lock(DIRTY)
+        lock = monitored_lock(COUNTER)
         rlock = monitored_rlock(REGISTRY)
         assert not isinstance(lock, MonitoredLock)
         assert not isinstance(rlock, MonitoredLock)
@@ -108,23 +108,23 @@ class TestMonitoredFactories:
             pass
 
     def test_factories_return_monitored_locks_when_on(self, watchdog):
-        lock = monitored_lock(DIRTY)
+        lock = monitored_lock(COUNTER)
         assert isinstance(lock, MonitoredLock)
         with lock:
-            assert watchdog.held() == (DIRTY,)
+            assert watchdog.held() == (COUNTER,)
         assert watchdog.held() == ()
 
     def test_monitored_nesting_raises_on_ascent(self, watchdog):
-        dirty = monitored_lock(DIRTY)
+        counter = monitored_lock(COUNTER)
         registry = monitored_rlock(REGISTRY)
-        with dirty:
+        with counter:
             with pytest.raises(LockOrderViolation):
                 registry.acquire()
         # The failed acquisition left no residue on the stack.
         assert watchdog.held() == ()
 
     def test_failed_nonblocking_acquire_is_unwound(self, watchdog):
-        lock = monitored_lock(DIRTY)
+        lock = monitored_lock(COUNTER)
         lock.acquire()
         holder = []
 
@@ -142,15 +142,15 @@ class TestMonitoredFactories:
 class TestRankViolationHelper:
     def test_ascending_and_self_edges_are_flagged(self):
         edges = [
-            (REGISTRY, DIRTY),          # descending: fine
-            (DIRTY, REGISTRY),          # ascending: flagged
-            (DIRTY, DIRTY),             # non-reentrant self edge: flagged
+            (REGISTRY, COUNTER),        # descending: fine
+            (COUNTER, REGISTRY),        # ascending: flagged
+            (COUNTER, COUNTER),         # non-reentrant self edge: flagged
             (REGISTRY, REGISTRY),       # reentrant self edge: fine
-            ("unknown", DIRTY),         # undeclared: ignored here
+            ("unknown", COUNTER),       # undeclared: ignored here
         ]
         assert list(iter_rank_violations(edges)) == [
-            (DIRTY, REGISTRY),
-            (DIRTY, DIRTY),
+            (COUNTER, REGISTRY),
+            (COUNTER, COUNTER),
         ]
 
 
