@@ -264,7 +264,8 @@ def build_parser():
             '{"op": "shutdown"}. With --cluster, TREE is a cluster '
             "directory written by 'shard': every shard recovers from "
             "its own WAL and queries run the scatter-gather coordinator "
-            "(see docs/CLUSTER.md)."
+            "(see docs/CLUSTER.md); with --shard-workers as well, any "
+            "queued queries share a batch, one frame per worker."
         ),
     )
     serve.add_argument(

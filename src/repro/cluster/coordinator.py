@@ -495,6 +495,13 @@ class ClusterTree(Generic[_Endpoint]):
     #: service's lock, so the reverse import would cycle).
     is_cluster = True
 
+    #: Whether the service may coalesce queued queries whatever their
+    #: interval into one :meth:`query_batch`.  Not in process: a single
+    #: query prunes shards by bound while a batch visits every shard,
+    #: so a mixed batch costs more CPU per query than its riders alone
+    #: (docs/SERVICE.md, "Micro-batching semantics").
+    coalesce_any_interval = False
+
     def __init__(
         self,
         plan: ShardPlan,
@@ -991,7 +998,12 @@ class ClusterTree(Generic[_Endpoint]):
                 resolved.append((top, blocking))
             shard_count = len(self.shards)
         self._account(per_shard, stats)
-        self._count(len(queries), len(visited), 0, len(failed), certified)
+        # Every rider searched each visited shard and missed each failed
+        # one: count both per rider, as ``queries`` and ``certified`` are.
+        riders = len(queries)
+        self._count(
+            riders, riders * len(visited), 0, riders * len(failed), certified
+        )
         return [
             self._resolve(top, blocking, allow_degraded, shard_count)
             for top, blocking in resolved

@@ -159,10 +159,12 @@ class WorkerClient:
         self._abandon()
 
     def connect(self, timeout: float | None = None) -> dict[str, Any]:
-        """Connect eagerly; returns the worker's ``hello`` payload."""
-        response = self.request({"op": "hello"}, timeout=timeout)
-        self.hello = response
-        return response
+        """Connect eagerly; returns the worker's ``hello`` payload.
+
+        That is the handshake's own payload: one ``hello`` exchange on a
+        fresh connection, none on an open one.
+        """
+        return self._call(None, timeout)
 
     # -- the framed exchange -------------------------------------------
 
@@ -218,10 +220,19 @@ class WorkerClient:
         self, payload: dict[str, Any], timeout: float | None = None
     ) -> dict[str, Any]:
         """Send one request and return its validated response."""
+        return self._call(payload, timeout)
+
+    def _call(
+        self, payload: dict[str, Any] | None, timeout: float | None
+    ) -> dict[str, Any]:
+        """Connect if needed, then exchange ``payload`` (``None``: return
+        the handshake); every transport failure drops the connection."""
         try:
             with self._lock:
                 if self._sock is None:
                     self._connect_locked(timeout)
+                if payload is None:
+                    return cast("dict[str, Any]", self.hello)
                 response = self._exchange_locked(payload, timeout)
         except WireProtocolError:
             self._abandon()
@@ -498,6 +509,13 @@ class RemoteClusterTree(ClusterTree[RemoteShard]):
     #: Its own attribute, not just inherited: the benchmark tracer
     #: (perfbench/spans.py) wraps ``RemoteClusterTree.__dict__["query"]``.
     query = ClusterTree.query
+
+    #: Worker queries pay per frame, and the default parallel scatter
+    #: already sends every query to every shard, so a batch of any
+    #: intervals costs one ``batch`` frame per worker and prunes nothing
+    #: a single query would (docs/SERVICE.md, "Micro-batching
+    #: semantics").
+    coalesce_any_interval = True
 
     def __init__(
         self,

@@ -7,7 +7,8 @@ durability) behind three coordinated mechanisms:
 
 * **Collective micro-batching** — callers enqueue queries into a
   bounded request queue; worker threads drain it and coalesce requests
-  sharing a time interval (the Section 7.2 grouping) into one
+  sharing a time interval (the Section 7.2 grouping; any interval on a
+  worker cluster, see below) into one
   :class:`~repro.core.collective.CollectiveProcessor` batch, bounded by
   ``batch_size`` and a ``linger`` deadline.  A batch of one falls back
   to the plain :func:`~repro.core.knnta.knnta_search`.  Concurrent
@@ -43,6 +44,13 @@ the coordinator's scatter-gather (batches fan out per shard through
 each shard's own collective processor), mutations route through the
 owning shard's WAL inside the coordinator, and scrubbing round-robins
 over the shards.  No service-level ingest may be attached in that mode.
+A tree whose ``coalesce_any_interval`` marker is true — a worker
+cluster, :class:`~repro.cluster.remote.RemoteClusterTree` — gets
+batches of the oldest queued requests whatever their interval: there a
+query costs a socket frame per worker, and a batch costs one frame per
+worker for all its riders.  Single trees and in-process clusters keep
+one interval per batch (``docs/SERVICE.md``, "Micro-batching
+semantics", has the measurements behind both).
 """
 
 import threading
@@ -267,6 +275,9 @@ class QueryService:
         if ingest is not None and ingest.tree is not tree:
             raise ValueError("ingest wraps a different tree")
         self._cluster = bool(getattr(tree, "is_cluster", False))
+        # Batches share one (interval, semantics) key unless the tree's
+        # transport says any queued queries are cheaper together.
+        self._any_interval = bool(getattr(tree, "coalesce_any_interval", False))
         if self._cluster and ingest is not None:
             raise ValueError(
                 "a cluster routes mutations through its own per-shard "
@@ -611,11 +622,13 @@ class QueryService:
             self._queue_cond.notify_all()
 
     def _next_batch(self):
-        """Block for a request, then linger to coalesce same-interval peers.
+        """Block for a request, then linger to coalesce peers.
 
         Returns ``None`` on shutdown (queue drained), else a list of
-        requests sharing one ``(interval, semantics)`` key.  Requests
-        whose deadline already passed are expired here, not executed.
+        requests sharing one ``(interval, semantics)`` key — or, on a
+        tree that coalesces any interval, the oldest queued requests.
+        Requests whose deadline already passed are expired here, not
+        executed.
         """
         config = self.config
         with self._queue_cond:
@@ -628,7 +641,11 @@ class QueryService:
                 if self._expired(first):
                     continue
                 batch = [first]
-                key = (first.query.interval, first.query.semantics)
+                key = (
+                    None
+                    if self._any_interval
+                    else (first.query.interval, first.query.semantics)
+                )
                 linger_until = time.monotonic() + config.linger
                 while len(batch) < config.batch_size:
                     matched = self._take_matching(key, config.batch_size - len(batch))
@@ -644,7 +661,10 @@ class QueryService:
                 return batch
 
     def _take_matching(self, key, limit):
-        """Remove up to ``limit`` queued requests with ``key`` (cond held)."""
+        """Remove up to ``limit`` queued requests with ``key`` (cond held);
+        a ``None`` key takes the oldest, whatever their key."""
+        if key is None:
+            return [self._queue.popleft() for _ in range(min(limit, len(self._queue)))]
         taken = []
         if not self._queue:
             return taken

@@ -486,7 +486,9 @@ class TestDegradationPolicy:
     def test_batch_certificate_counts_every_certified_rider(self, make, single):
         # The farthest shard dies under four distance-dominant queries.
         # Each answer is certified exact on its own bound and counts
-        # once — in one batch exactly as when asked one at a time.
+        # once, and each rider counts the three shards it searched and
+        # the dead one — in one batch exactly as when asked one at a
+        # time (parallel dispatch sends every query to every shard).
         cluster = make(parallelism=4)
         end = cluster.current_time
         queries = [
@@ -505,14 +507,25 @@ class TestDegradationPolicy:
         victim = max(worst, key=worst.get)
         kill_shard(cluster, victim)
         oracle = [single.query(query) for query in queries]
-        before = cluster.counters()["certified_exact"]
-        answers = cluster.query_batch(queries)
-        assert answers == oracle
-        assert all(answer.exact for answer in answers)
-        assert cluster.counters()["certified_exact"] - before == len(queries)
-        before = cluster.counters()["certified_exact"]
-        assert [cluster.query(query) for query in queries] == oracle
-        assert cluster.counters()["certified_exact"] - before == len(queries)
+
+        def deltas(run):
+            keys = ("queries", "certified_exact", "shards.visited", "shards.failed")
+            before = cluster.counters()
+            answers = run()
+            assert answers == oracle
+            assert all(answer.exact for answer in answers)
+            after = cluster.counters()
+            return {key: after[key] - before[key] for key in keys}
+
+        batched = deltas(lambda: cluster.query_batch(queries))
+        alone = deltas(lambda: [cluster.query(query) for query in queries])
+        riders = len(queries)
+        assert batched == alone == {
+            "queries": riders,
+            "certified_exact": riders,
+            "shards.visited": 3 * riders,
+            "shards.failed": riders,
+        }
 
     def test_explain_reports_the_fault_domain_outcome(self, make, single):
         cluster = make(allow_degraded=True)
@@ -525,10 +538,14 @@ class TestDegradationPolicy:
         assert cost["shards.certified"] in (0, 1)
 
     def test_query_batch_applies_the_policy_per_query(self, make, single):
+        # Every rider has its own interval, as in a worker cluster's
+        # service batches: each is certified against its own normaliser.
         cluster = make(allow_degraded=True)
         end = cluster.current_time
         queries = [
-            KNNTAQuery((0.1 * i, 0.5), TimeInterval(end - 28, end), k=5)
+            KNNTAQuery(
+                (0.1 * i, 0.5), TimeInterval(end - 28 * (i + 1), end - 7 * i), k=5
+            )
             for i in range(4)
         ]
         victim = owner_of_top_result(cluster, single, queries[0])

@@ -101,11 +101,23 @@ def worker_server(small_dataset, tmp_path):
 
 @pytest.mark.timeout(120)
 class TestWorkerProtocol:
-    def test_hello_announces_identity_and_proto(self, worker_server):
+    def test_hello_announces_identity_and_proto(self, worker_server, monkeypatch):
+        hellos = []
+        handshake = worker_server._op_hello
+
+        def counted():
+            hellos.append(1)
+            return handshake()
+
+        monkeypatch.setattr(worker_server, "_op_hello", counted)
         host, port = worker_server.address
         client = WorkerClient(host, port, index=0)
         try:
             hello = client.connect()
+            # A fresh connection costs one hello exchange, an open one none.
+            assert len(hellos) == 1
+            assert client.connect() is hello is client.hello
+            assert len(hellos) == 1
             assert hello["proto"] == PROTO_VERSION
             assert hello["name"] == "tree"
             assert hello["pois"] == len(worker_server.tree)

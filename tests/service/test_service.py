@@ -4,6 +4,8 @@ import threading
 
 import pytest
 
+from repro import ClusterTree, IntervalSemantics, TARTree
+from repro.cluster import WorkerClient
 from repro.core.query import KNNTAQuery
 from repro.core.tar_tree import POI
 from repro.service import (
@@ -16,11 +18,19 @@ from repro.service import (
 )
 from repro.temporal.epochs import TimeInterval
 
+from tests.cluster.conftest import open_on
 from tests.service.conftest import build_tree
 
 
 def make_query(x=5.0, y=5.0, lo=2, hi=6, k=5):
     return KNNTAQuery(point=(x, y), interval=TimeInterval(lo, hi), k=k)
+
+
+def trailing_interval(tree, epochs, lag=0):
+    """``epochs`` epochs ending ``lag`` epochs before the tree's clock."""
+    length = tree.clock.epoch_length
+    end = tree.current_time - lag * length
+    return TimeInterval(end - epochs * length, end)
 
 
 @pytest.mark.timeout(120)
@@ -49,21 +59,35 @@ class TestQueryPath:
                 t.join(timeout=30)
         assert results == expected
 
-    def test_mixed_intervals_are_not_coalesced_together(self, small_tree):
-        # Two interval presets: every executed batch must be homogeneous,
-        # and each answer must still be exact.
-        presets = [(2, 6), (1, 9)]
-        queries = [make_query(lo=lo, hi=hi) for lo, hi in presets for _ in range(6)]
-        expected = [small_tree.query(q) for q in queries]
-        config = ServiceConfig(workers=1, batch_size=16, linger=0.05)
-        service = QueryService(small_tree, config=config, autostart=False)
-        pending = [service.submit(q) for q in queries]
-        service.start()
-        results = [p.result(timeout=30) for p in pending]
-        assert results == expected
-        for p in pending:
-            assert p.batch_size <= 6  # never a cross-interval batch
-        service.close()
+    def test_mixed_intervals_are_not_coalesced_together(self, small_tree, small_dataset):
+        # Two interval presets, on a single tree and on an in-process
+        # cluster: every executed batch must be homogeneous, and each
+        # answer must still be exact.
+        cluster = ClusterTree.build(small_dataset, num_shards=3)
+        try:
+            for tree in (small_tree, cluster):
+                presets = [trailing_interval(tree, 4), trailing_interval(tree, 8, lag=1)]
+                point = tuple(
+                    (low + high) / 2.0
+                    for low, high in zip(tree.world.lows, tree.world.highs)
+                )
+                queries = [
+                    KNNTAQuery(point, interval, k=5)
+                    for interval in presets
+                    for _ in range(6)
+                ]
+                expected = [tree.query(q) for q in queries]
+                config = ServiceConfig(workers=1, batch_size=16, linger=0.05)
+                service = QueryService(tree, config=config, autostart=False)
+                pending = [service.submit(q) for q in queries]
+                service.start()
+                results = [p.result(timeout=30) for p in pending]
+                assert results == expected
+                for p in pending:
+                    assert p.batch_size <= 6, tree  # never a cross-interval batch
+                service.close()
+        finally:
+            cluster.close()
 
     def test_backlog_coalesces_into_one_batch(self, small_tree):
         config = ServiceConfig(workers=1, batch_size=64, linger=0.05)
@@ -108,6 +132,49 @@ class TestQueryPath:
         with QueryService(small_tree) as service:
             with pytest.raises(ValueError):
                 service.submit(make_query(k=0))
+
+
+@pytest.mark.timeout(120)
+class TestWorkerClusterBatching:
+    """On a worker cluster the service coalesces any queued queries."""
+
+    def test_backlog_of_distinct_intervals_is_one_batch_frame(
+        self, small_dataset, tmp_path, monkeypatch
+    ):
+        frames = []
+        send = WorkerClient.request
+
+        def counted(client, payload, timeout=None):
+            frames.append((client.index, payload["op"]))
+            return send(client, payload, timeout=timeout)
+
+        single = TARTree.build(small_dataset)
+        with open_on("workers", small_dataset, tmp_path / "c") as cluster:
+            end = cluster.current_time
+            semantics = (IntervalSemantics.INTERSECTS, IntervalSemantics.CONTAINED)
+            queries = [
+                KNNTAQuery(
+                    (0.1 * i, 0.9 - 0.1 * i),
+                    TimeInterval(end - 14 * (i + 1), end - 3 * i),
+                    k=3 + i % 3,
+                    semantics=semantics[i % 2],
+                )
+                for i in range(10)
+            ]
+            config = ServiceConfig(workers=1, batch_size=16, linger=0.05)
+            service = QueryService(cluster, config=config, autostart=False)
+            pending = [service.submit(query) for query in queries]
+            monkeypatch.setattr(WorkerClient, "request", counted)
+            service.start()
+            answers = [p.result(timeout=30) for p in pending]
+            service.close()
+            shards = len(cluster.shards)
+        assert [p.batch_size for p in pending] == [len(queries)] * len(queries)
+        searches = sorted(frame for frame in frames if frame[1] in ("query", "batch"))
+        assert searches == [(index, "batch") for index in range(shards)]
+        for query, answer in zip(queries, answers):
+            oracle = single.query(query)
+            assert [tuple(row) for row in answer] == [tuple(row) for row in oracle]
 
 
 @pytest.mark.timeout(120)
