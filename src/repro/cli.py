@@ -38,8 +38,9 @@ Exit codes (all commands): ``0`` success, ``1`` a check failed (a scan
 cross-check mismatch, ``verify`` found invariant violations, ``lint``
 found rule violations, or ``recover --verify`` found violations after
 replay), ``2`` a snapshot or WAL was corrupt or unreadable
-(``CorruptSnapshotError``) or, for ``lint``, bad usage (unknown rule id
-or missing path).  ``argparse`` itself exits with ``2`` on bad usage.
+(``CorruptSnapshotError``), a snapshot has a format version this build
+does not read or is not a tree snapshot (``UnsupportedSnapshotError``),
+or, for ``lint``, bad usage (unknown rule id or missing path).  ``argparse`` itself exits with ``2`` on bad usage.
 
 Example session::
 
@@ -605,6 +606,25 @@ def _command_build(args, out):
     return 0
 
 
+def _load_tree(path, out):
+    """Load a tree snapshot, or print why not and return None (exit 2)."""
+    from repro.storage.serialize import (
+        CorruptSnapshotError,
+        UnsupportedSnapshotError,
+        load_tree,
+    )
+
+    try:
+        return load_tree(path)
+    except CorruptSnapshotError as exc:
+        print("corrupt tree snapshot (section %r): %s" % (exc.section, exc), file=out)
+    except UnsupportedSnapshotError as exc:
+        print("cannot load tree snapshot %s: %s" % (path, exc), file=out)
+    except OSError as exc:
+        print("cannot read tree snapshot %s: %s" % (path, exc), file=out)
+    return None
+
+
 def _open_tree_or_cluster(path, out):
     """Open a tree file or a cluster directory.
 
@@ -614,10 +634,10 @@ def _open_tree_or_cluster(path, out):
     """
     import os
 
-    from repro.storage.serialize import CorruptSnapshotError, load_tree
+    from repro.storage.serialize import CorruptSnapshotError, UnsupportedSnapshotError
 
     if not os.path.isdir(path):
-        return load_tree(path), None
+        return _load_tree(path, out), None
     from repro.cluster import (
         ClusterStateError,
         is_cluster_directory,
@@ -633,7 +653,12 @@ def _open_tree_or_cluster(path, out):
         return None, None
     try:
         cluster = open_cluster(path)
-    except (ClusterStateError, CorruptSnapshotError, OSError) as exc:
+    except (
+        ClusterStateError,
+        CorruptSnapshotError,
+        UnsupportedSnapshotError,
+        OSError,
+    ) as exc:
         print("cannot open cluster %s: %s" % (path, exc), file=out)
         return None, None
     return cluster, cluster
@@ -821,9 +846,9 @@ def _command_watch(args, out):
 def _command_mwa(args, out):
     from repro.core.mwa import minimum_weight_adjustment
     from repro.core.query import KNNTAQuery
-    from repro.storage.serialize import load_tree
-
-    tree = load_tree(args.tree)
+    tree = _load_tree(args.tree, out)
+    if tree is None:
+        return 2
     interval = _resolve_interval(tree, args)
     query = KNNTAQuery((args.x, args.y), interval, k=args.k, alpha0=args.alpha0)
     result = minimum_weight_adjustment(tree, query, method=args.method)
@@ -845,19 +870,10 @@ def _command_mwa(args, out):
 
 def _command_verify(args, out):
     from repro.reliability.validate import validate_against_dataset, validate_tree
-    from repro.storage.serialize import (
-        CorruptSnapshotError,
-        load_dataset,
-        load_tree,
-    )
+    from repro.storage.serialize import CorruptSnapshotError, load_dataset
 
-    try:
-        tree = load_tree(args.tree)
-    except CorruptSnapshotError as exc:
-        print("corrupt tree snapshot (section %r): %s" % (exc.section, exc), file=out)
-        return 2
-    except OSError as exc:
-        print("cannot read tree snapshot %s: %s" % (args.tree, exc), file=out)
+    tree = _load_tree(args.tree, out)
+    if tree is None:
         return 2
     report = validate_tree(tree)
     if args.dataset:
@@ -886,7 +902,11 @@ def _command_verify(args, out):
 def _command_recover(args, out):
     from repro.reliability.recovery import CheckpointedIngest, recover
     from repro.reliability.validate import validate_tree
-    from repro.storage.serialize import CorruptSnapshotError, load_dataset
+    from repro.storage.serialize import (
+        CorruptSnapshotError,
+        UnsupportedSnapshotError,
+        load_dataset,
+    )
 
     dataset = None
     if args.dataset:
@@ -911,6 +931,9 @@ def _command_recover(args, out):
             "corrupt state (section %r): %s" % (exc.section, exc), file=out
         )
         return 2
+    except UnsupportedSnapshotError as exc:
+        print("cannot load state in %s: %s" % (args.directory, exc), file=out)
+        return 2
     except OSError as exc:
         print(
             "cannot read state in %s: %s" % (args.directory, exc), file=out
@@ -934,7 +957,11 @@ def _command_serve(args, out, err):
 
     from repro.reliability.recovery import CheckpointedIngest, recover
     from repro.service import JsonLineServer, QueryService, ServiceConfig
-    from repro.storage.serialize import CorruptSnapshotError, load_tree
+    from repro.storage.serialize import (
+        CorruptSnapshotError,
+        UnsupportedSnapshotError,
+        load_tree,
+    )
 
     ingest = None
     cluster = None
@@ -1066,6 +1093,9 @@ def _command_serve(args, out, err):
     except CorruptSnapshotError as exc:
         print("corrupt state (section %r): %s" % (exc.section, exc), file=err)
         return 2
+    except UnsupportedSnapshotError as exc:
+        print("cannot load state: %s" % (exc,), file=err)
+        return 2
     except OSError as exc:
         print("cannot read state: %s" % (exc,), file=err)
         return 2
@@ -1167,7 +1197,7 @@ def _command_shard_worker(args, out, err):
     import os
 
     from repro.cluster import ClusterStateError, run_worker
-    from repro.storage.serialize import CorruptSnapshotError
+    from repro.storage.serialize import CorruptSnapshotError, UnsupportedSnapshotError
 
     if not os.path.isdir(args.directory):
         print("no shard state directory %s" % args.directory, file=err)
@@ -1189,7 +1219,11 @@ def _command_shard_worker(args, out, err):
             name=args.name,
             announce=args.announce,
         )
-    except (CorruptSnapshotError, ClusterStateError) as exc:
+    except (
+        CorruptSnapshotError,
+        UnsupportedSnapshotError,
+        ClusterStateError,
+    ) as exc:
         print(
             "cannot serve shard %s: %s" % (args.directory, exc), file=err
         )

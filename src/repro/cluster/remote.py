@@ -449,7 +449,7 @@ class RemoteShard:
         if self.handle is not None and self.handle.alive:
             self.handle.terminate()
         self.client.close()
-        handle = WorkerHandle.spawn(directory)
+        (handle,) = WorkerHandle.spawn([directory])
         client = WorkerClient(handle.host, handle.port, index=self.index)
         try:
             hello = client.connect(timeout=self.timeout)
@@ -572,17 +572,18 @@ class RemoteClusterTree(ClusterTree[RemoteShard]):
         Reads ``directory``'s cluster manifest (refusing one rolled
         back across a committed reshard, exactly like the in-process
         open), spawns a :class:`~repro.cluster.workers.WorkerHandle`
-        per shard state directory — each worker's startup is its own
-        snapshot + WAL recovery — and verifies every worker recovered
-        to *at least* its manifest LSN.  Any failure tears down every
-        worker already spawned before re-raising.
+        per shard state directory in one call — the workers' startups,
+        each its own snapshot + WAL recovery, run side by side — and
+        verifies every worker recovered to *at least* its manifest LSN.
+        Any failure tears down every worker of this start before
+        re-raising.
         """
         payload, plan, shard_dirs = open_manifest(directory)
         entries = payload["shards"]
+        handles = WorkerHandle.spawn(shard_dirs, timeout=spawn_timeout)
         shards: list[RemoteShard] = []
         try:
-            for index, (entry, shard_dir) in enumerate(zip(entries, shard_dirs)):
-                handle = WorkerHandle.spawn(shard_dir, timeout=spawn_timeout)
+            for index, (entry, handle) in enumerate(zip(entries, handles)):
                 client = WorkerClient(handle.host, handle.port, index=index)
                 shards.append(
                     RemoteShard(
@@ -599,8 +600,9 @@ class RemoteClusterTree(ClusterTree[RemoteShard]):
         except Exception:
             for shard in shards:
                 shard.client.close()
-                if shard.handle is not None and shard.handle.alive:
-                    shard.handle.terminate()
+            for handle in handles:
+                if handle.alive:
+                    handle.terminate()
             raise
         return cls(
             plan,

@@ -310,9 +310,8 @@ def _split_claimed(remote: RemoteClusterTree, index: int) -> tuple[int, int]:
         ):
             _build_successor_state(tree, successor_rows, directory, new_epoch)
             created.append(directory)
-        for position, directory in enumerate(directories):
-            handle = WorkerHandle.spawn(directory)
-            handles.append(handle)
+        handles = WorkerHandle.spawn(directories)
+        for position, handle in enumerate(handles):
             client = WorkerClient(
                 handle.host,
                 handle.port,

@@ -37,7 +37,8 @@ Worker ops (beyond the shared ``hello`` / ``shutdown`` frames):
 The worker announces its bound endpoint by atomically writing
 ``worker.json`` into its shard directory (spawners poll for it), so
 ``repro shard-worker`` and :meth:`WorkerHandle.spawn` discover ports
-the same way.
+the same way.  ``spawn`` starts every shard's process before it waits
+for any announce, so the shards recover side by side.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import socketserver
 import threading
 import time
 from multiprocessing.process import BaseProcess
-from typing import Any, BinaryIO, Callable, TypeVar
+from typing import Any, BinaryIO, Callable, Sequence, TypeVar
 
 from repro.cluster.resilience import ShardDescriptor
 from repro.core.query import KNNTAQuery, Normalizer
@@ -495,45 +496,70 @@ class WorkerHandle:
         self.port: int = int(endpoint["port"])
 
     @classmethod
-    def spawn(cls, directory: str, host: str = "127.0.0.1",
-              name: str = "tree", timeout: float = 30.0) -> "WorkerHandle":
-        """Start a worker process over ``directory`` and wait for its
-        endpoint announce.  A stale announce from a killed predecessor
-        is removed first, so the endpoint read is always the new
-        process's."""
-        announce_path = os.path.join(directory, ANNOUNCE_NAME)
-        try:
-            os.remove(announce_path)
-        except FileNotFoundError:
-            pass
+    def spawn(cls, directories: Sequence[str], host: str = "127.0.0.1",
+              name: str = "tree", timeout: float = 30.0) -> list[WorkerHandle]:
+        """Start one worker process per shard directory, then wait for
+        every endpoint announce under one ``timeout`` deadline.
+
+        All processes start before any is waited for, so their
+        recoveries overlap.  A stale announce from a killed predecessor
+        is removed first, so each endpoint read is the new process's.
+        If a worker dies during startup or misses the deadline, every
+        worker this call started is terminated and joined, and a
+        ``RuntimeError`` names the shard directory.  Returns the handles
+        in ``directories`` order.
+        """
+        if isinstance(directories, str):
+            raise TypeError("spawn takes a sequence of shard directories")
         context = multiprocessing.get_context("spawn")
-        process = context.Process(
-            target=run_worker,
-            args=(directory, host, 0, name, announce_path),
-            daemon=True,
-        )
-        process.start()
-        deadline = time.monotonic() + timeout
-        while True:
-            try:
-                with open(announce_path, "r", encoding="utf-8") as handle:
-                    endpoint = json.load(handle)
-                break
-            except (FileNotFoundError, ValueError):
-                pass
-            if not process.is_alive():
-                raise RuntimeError(
-                    "shard worker for %s died during startup (exit code %r)"
-                    % (directory, process.exitcode)
+        started: list[tuple[str, BaseProcess, str]] = []
+        endpoints: dict[int, dict[str, Any]] = {}
+        try:
+            for directory in directories:
+                announce_path = os.path.join(directory, ANNOUNCE_NAME)
+                try:
+                    os.remove(announce_path)
+                except FileNotFoundError:
+                    pass
+                process = context.Process(
+                    target=run_worker,
+                    args=(directory, host, 0, name, announce_path),
+                    daemon=True,
                 )
-            if time.monotonic() > deadline:
-                process.terminate()
-                raise RuntimeError(
-                    "shard worker for %s did not announce within %.1fs"
-                    % (directory, timeout)
-                )
-            time.sleep(0.01)
-        return cls(directory, process, endpoint)
+                process.start()
+                started.append((directory, process, announce_path))
+            deadline = time.monotonic() + timeout
+            while len(endpoints) < len(started):
+                time.sleep(0.01)
+                for slot, (directory, process, announce_path) in enumerate(started):
+                    if slot in endpoints:
+                        continue
+                    try:
+                        with open(announce_path, "r", encoding="utf-8") as handle:
+                            endpoints[slot] = json.load(handle)
+                        continue
+                    except (FileNotFoundError, ValueError):
+                        pass
+                    if not process.is_alive():
+                        raise RuntimeError(
+                            "shard worker for %s died during startup (exit code %r)"
+                            % (directory, process.exitcode)
+                        )
+                    if time.monotonic() > deadline:
+                        raise RuntimeError(
+                            "shard worker for %s did not announce within %.1fs"
+                            % (directory, timeout)
+                        )
+        except BaseException:
+            for _directory, process, _announce in started:
+                if process.is_alive():
+                    process.terminate()
+                process.join(timeout=10.0)
+            raise
+        return [
+            cls(directory, process, endpoints[slot])
+            for slot, (directory, process, _announce) in enumerate(started)
+        ]
 
     @property
     def pid(self) -> int | None:

@@ -33,7 +33,6 @@ import math
 from typing import TYPE_CHECKING, Any, Iterable
 
 import numpy as np
-from scipy.special import zeta as hurwitz_zeta
 
 if TYPE_CHECKING:
     import numpy.typing as npt
@@ -106,6 +105,10 @@ class CostModel:
         self.capacity = capacity
         self.fanout = max(2.0, fanout_ratio * capacity)
 
+        # scipy is imported where it is used, not at module level, so
+        # that ``import repro`` (and every shard worker) stays without it.
+        from scipy.special import zeta as hurwitz_zeta
+
         self._layers = np.arange(self.xmin, self.max_aggregate + 1, dtype=np.float64)
         normaliser = float(hurwitz_zeta(self.beta, self.xmin))
         self._probabilities = self._layers ** (-self.beta) / normaliser
@@ -146,6 +149,8 @@ class CostModel:
 
     def layer_probability(self, x: float) -> float:
         """``p(x)`` under the fitted power law."""
+        from scipy.special import zeta as hurwitz_zeta
+
         return float(x ** (-self.beta) / hurwitz_zeta(self.beta, self.xmin))
 
     def layer_count(self, x: float) -> float:

@@ -4,22 +4,33 @@ Two formats:
 
 * **Data sets** — ``save_dataset`` / ``load_dataset`` store the POI
   positions and raw check-in timestamps in a single ``.npz`` archive
-  (exact round trip).
-* **Trees** — ``save_tree`` / ``load_tree`` store the index *content*
-  (configuration plus every POI's location and per-epoch history, in
-  insertion order) as JSON.  Loading rebuilds the tree by replaying the
-  insertions, which is deterministic, so a reloaded tree answers every
-  query identically; the physical node layout is reconstructed rather
-  than copied.  POI identifiers must be JSON-representable scalars
-  (str/int); a ``TypeError`` is raised at save time otherwise.
+  (exact round trip).  Format version 2 carries a CRC-32 per array;
+  version-1 archives (no checksums) are still read.
+* **Trees** — ``save_tree`` / ``load_tree`` store a tree as JSON in
+  three sections (format version 3): ``config`` (world, clock,
+  strategy, node size, TIA backend, aggregate kind, the ``lambda-hat``
+  normaliser and the WAL high-water mark), ``pois`` (every POI's id,
+  location and per-epoch history, in registration order) and
+  ``nodes`` (the node layout).  ``nodes`` lists every node
+  breadth-first from the root as ``[level, members]``: a leaf's
+  members are ``[poi index, grouping point]`` pairs — the point is
+  stored because the integral-3D ``z`` is fixed at insertion and
+  cannot be recomputed from the history — and an internal node's
+  members are its children's node indices.  Loading restores exactly
+  those nodes and derives every internal entry (rect, MBR, per-epoch
+  maxima) bottom-up; no choose-subtree, split or reinsertion runs, so a
+  reloaded tree is the tree that was saved, node for node.  POI
+  identifiers must be JSON-representable scalars (str/int); a
+  ``TypeError`` is raised at save time otherwise.
 
-Both formats are **checksummed** (format version 2): every logical
-section of a snapshot carries a CRC-32 over its canonical byte
+Every section of a snapshot carries a CRC-32 over its canonical byte
 representation, verified on load.  A flipped bit, a torn write or a
 truncated file raises :class:`CorruptSnapshotError` naming the damaged
-section instead of silently producing a corrupt index.  Version-1
-snapshots (no checksums) are still read; unknown versions raise a clear
-``ValueError``.
+section instead of silently producing a corrupt index; so does a
+``nodes`` section that passes its CRC but contradicts the ``pois``
+section or the fill bounds.  Any other format version (tree versions 1
+and 2 stored no layout) raises :class:`UnsupportedSnapshotError`, a
+``ValueError``, naming it.
 
 The optional ``opener`` argument of every function accepts an
 ``open``-compatible callable, which is how the reliability layer's
@@ -33,10 +44,14 @@ import zlib
 import numpy as np
 
 from repro.spatial.geometry import Rect
+from repro.spatial.rstar import Entry
 from repro.temporal.epochs import EpochClock, VariedEpochClock
 
-_FORMAT_VERSION = 2
-_SUPPORTED_VERSIONS = (1, 2)
+_DATASET_FORMAT_VERSION = 2
+_DATASET_VERSIONS = (1, 2)
+_TREE_FORMAT_VERSION = 3
+_TREE_VERSIONS = (3,)
+_TREE_SECTIONS = ("config", "pois", "nodes")
 
 
 class CorruptSnapshotError(Exception):
@@ -50,6 +65,17 @@ class CorruptSnapshotError(Exception):
     def __init__(self, message, section="container"):
         super().__init__(message)
         self.section = section
+
+
+class UnsupportedSnapshotError(ValueError):
+    """A snapshot this build does not read.
+
+    Raised for a format version other than the ones this build reads
+    (tree versions 1 and 2 stored no node layout) and for a file of
+    another kind, such as a cluster manifest handed to
+    :func:`load_tree`.  Unlike :class:`CorruptSnapshotError` nothing is
+    damaged; the file needs another reader.
+    """
 
 
 def _crc_bytes(data):
@@ -67,11 +93,16 @@ def _crc_array(array):
     return _crc_bytes(np.ascontiguousarray(array).tobytes())
 
 
-def _check_version(version, what):
-    if version not in _SUPPORTED_VERSIONS:
-        raise ValueError(
-            "unsupported %s format version %r; this build reads versions %s"
-            % (what, version, ", ".join(str(v) for v in _SUPPORTED_VERSIONS))
+def _check_version(version, what, supported):
+    if version not in supported:
+        raise UnsupportedSnapshotError(
+            "unsupported %s format version %r; this build reads version%s %s"
+            % (
+                what,
+                version,
+                "s" if len(supported) > 1 else "",
+                ", ".join(str(v) for v in supported),
+            )
         )
 
 
@@ -109,7 +140,7 @@ def save_dataset(dataset, path, opener=None):
         np.concatenate(times) if times else np.empty(0, dtype=np.float64)
     )
     arrays = {
-        "version": np.int64(_FORMAT_VERSION),
+        "version": np.int64(_DATASET_FORMAT_VERSION),
         "name": np.str_(dataset.name),
         "world": np.array(dataset.world.lows + dataset.world.highs),
         "t0": np.float64(dataset.t0),
@@ -152,8 +183,9 @@ def load_dataset(path, opener=None):
     :func:`save_dataset`.
 
     Raises :class:`CorruptSnapshotError` when the archive is truncated,
-    bit-flipped or fails a section checksum, and ``ValueError`` for an
-    unknown format version.
+    bit-flipped or fails a section checksum, and
+    :class:`UnsupportedSnapshotError` (a ``ValueError``) for an unknown
+    format version.
     """
     import zipfile
 
@@ -175,7 +207,7 @@ def load_dataset(path, opener=None):
     try:
         with archive_cm as archive:
             version = int(_read_member(archive, "version"))
-            _check_version(version, "dataset")
+            _check_version(version, "dataset", _DATASET_VERSIONS)
             if version >= 2:
                 _verify_dataset_checksums(archive)
             world_values = _read_member(archive, "world")
@@ -273,8 +305,9 @@ def _clock_from_json(payload):
 
 
 def _tree_sections(tree):
-    """Split a tree's logical content into the checksummed sections."""
+    """Split a tree's content and node layout into checksummed sections."""
     pois = []
+    poi_index = {}
     for poi_id in tree.poi_ids():
         if not isinstance(poi_id, (str, int)) or isinstance(poi_id, bool):
             raise TypeError(
@@ -283,6 +316,7 @@ def _tree_sections(tree):
             )
         poi = tree.poi(poi_id)
         history = [[int(e), v] for e, v in tree.poi_tia(poi_id).items()]
+        poi_index[poi_id] = len(pois)
         pois.append([poi_id, poi.x, poi.y, history])
     config = {
         "world": {"lows": list(tree.world.lows), "highs": list(tree.world.highs)},
@@ -298,19 +332,34 @@ def _tree_sections(tree):
         # never WAL-wrapped).  recover() skips records at or below it.
         "applied_lsn": getattr(tree, "applied_lsn", None),
     }
-    return {"config": config, "pois": pois}
+    # Breadth-first from the root, so every child follows its parent.
+    order = [tree.root]
+    nodes = []
+    for node in order:
+        if node.is_leaf:
+            members = [
+                [poi_index[entry.item], list(entry.rect.lows)]
+                for entry in node.entries
+            ]
+        else:
+            members = []
+            for entry in node.entries:
+                members.append(len(order))
+                order.append(entry.child)
+        nodes.append([node.level, members])
+    return {"config": config, "pois": pois, "nodes": nodes}
 
 
 def save_tree(tree, path, opener=None):
-    """Write the logical content and configuration of ``tree`` as JSON.
+    """Write ``tree``'s configuration, content and node layout as JSON.
 
     The snapshot is framed into checksummed sections (``config``,
-    ``pois``); :func:`load_tree` verifies each CRC-32 before rebuilding
-    the index.
+    ``pois``, ``nodes``); :func:`load_tree` verifies each CRC-32 before
+    restoring the index.
     """
     sections = _tree_sections(tree)
     payload = {
-        "version": _FORMAT_VERSION,
+        "version": _TREE_FORMAT_VERSION,
         "sections": sections,
         "checksums": {name: _crc_json(body) for name, body in sections.items()},
     }
@@ -321,36 +370,29 @@ def save_tree(tree, path, opener=None):
 
 
 def _tree_payload_sections(path, payload):
-    """Return the verified ``{"config": ..., "pois": ...}`` sections."""
+    """Return the verified ``config``, ``pois`` and ``nodes`` sections."""
     if not isinstance(payload, dict):
         raise CorruptSnapshotError(
             "tree snapshot %s does not hold a JSON object" % path
+        )
+    if "shards" in payload and "plan" in payload:
+        raise UnsupportedSnapshotError(
+            "%s is a cluster manifest, not a tree snapshot; open its "
+            "directory as a cluster" % path
         )
     if "version" not in payload:
         raise CorruptSnapshotError(
             "tree snapshot %s lacks a format version marker" % path,
             section="config",
         )
-    version = payload["version"]
-    _check_version(version, "tree")
-    if version == 1:
-        # Legacy flat layout, no checksums: the payload doubles as the
-        # config section and carries the POI list inline.
-        legacy = dict(payload)
-        pois = legacy.pop("pois", None)
-        if pois is None:
-            raise CorruptSnapshotError(
-                "tree snapshot %s lacks its POI section" % path, section="pois"
-            )
-        legacy.pop("version", None)
-        return {"config": legacy, "pois": pois}
+    _check_version(payload["version"], "tree", _TREE_VERSIONS)
     sections = payload.get("sections")
     checksums = payload.get("checksums")
     if not isinstance(sections, dict) or not isinstance(checksums, dict):
         raise CorruptSnapshotError(
             "tree snapshot %s lacks its section/checksum framing" % path
         )
-    for name in ("config", "pois"):
+    for name in _TREE_SECTIONS:
         if name not in sections:
             raise CorruptSnapshotError(
                 "tree snapshot %s is missing section %r" % (path, name),
@@ -371,16 +413,117 @@ def _tree_payload_sections(path, payload):
     return sections
 
 
-def load_tree(path, stats=None, opener=None, **overrides):
-    """Rebuild a TAR-tree written by :func:`save_tree`.
+def _restore_nodes(tree, nodes, pois, tias):
+    """Rebuild the saved node layout bottom-up and return its root.
 
-    ``overrides`` are forwarded to the ``TARTree`` constructor (e.g. a
-    different ``tia_buffer_slots``); the indexed content is always the
-    saved one.  Raises :class:`CorruptSnapshotError` on truncated or
-    bit-flipped snapshots and ``ValueError`` on unknown format versions.
+    ``nodes`` lists every node breadth-first from the root as ``[level,
+    members]``: a leaf's members are ``[poi index, grouping point]``
+    pairs, an internal node's are the indices of its children.  Walking
+    the list backwards builds every child before the entry that points
+    at it, so ``_make_parent_entry`` derives each internal rect, MBR
+    and per-epoch-max TIA from finished children.  ``pois`` and
+    ``tias`` are the registered POIs and their leaf TIAs in ``pois``
+    section order.  A layout that places a POI twice or never, breaks
+    the fill bounds or links a child at the wrong level or twice raises
+    :class:`CorruptSnapshotError` naming the ``nodes`` section.
+    """
+
+    def corrupt(message, *args):
+        return CorruptSnapshotError(
+            "tree section 'nodes': " + message % args, section="nodes"
+        )
+
+    placed = [False] * len(pois)
+    built = [None] * len(nodes)
+    linked = [False] * len(nodes)
+    try:
+        for index in range(len(nodes) - 1, -1, -1):
+            level, members = nodes[index]
+            if level < 0 or len(members) > tree.capacity or (
+                index > 0 and len(members) < tree.min_fill
+            ) or (level > 0 and not members):
+                raise corrupt(
+                    "node %d (level %r) holds %d entries; a node holds at "
+                    "most %d, and at least %d below the root",
+                    index, level, len(members), tree.capacity, tree.min_fill,
+                )
+            entries = []
+            if level == 0:
+                for position, point in members:
+                    if not 0 <= position < len(pois) or placed[position]:
+                        raise corrupt(
+                            "leaf %d places POI #%r, which is unknown or "
+                            "already placed", index, position,
+                        )
+                    if len(point) != tree.strategy.dims:
+                        raise corrupt(
+                            "leaf %d holds a %d-D grouping point; the %s "
+                            "strategy groups in %d-D", index, len(point),
+                            tree.strategy.name, tree.strategy.dims,
+                        )
+                    placed[position] = True
+                    poi = pois[position]
+                    entries.append(
+                        Entry(
+                            Rect(point, point),
+                            item=poi.poi_id,
+                            mbr=Rect.from_point(poi.point),
+                            tia=tias[position],
+                        )
+                    )
+            else:
+                for child in members:
+                    if not index < child < len(nodes) or linked[child]:
+                        raise corrupt(
+                            "node %d links node %r, which is not a later, "
+                            "unclaimed node", index, child,
+                        )
+                    if built[child].level != level - 1:
+                        raise corrupt(
+                            "node %d at level %d links node %d at level %d",
+                            index, level, child, built[child].level,
+                        )
+                    linked[child] = True
+                    entries.append(tree._make_parent_entry(built[child]))
+            built[index] = tree._link_node(level, entries)
+    except (TypeError, ValueError, IndexError) as exc:
+        raise corrupt("malformed node: %s", exc)
+    if not built:
+        raise corrupt("no root node")
+    orphans = linked.count(False) - 1
+    if orphans:
+        raise corrupt("%d node(s) hang under no parent", orphans)
+    if not all(placed):
+        raise corrupt("POI %r is in no leaf", pois[placed.index(False)].poi_id)
+    return built[0]
+
+
+#: ``load_tree`` overrides that change how TIAs are stored, never what
+#: the saved nodes hold.
+_LOAD_OVERRIDES = ("tia_backend", "tia_page_size", "tia_buffer_slots")
+
+
+def load_tree(path, stats=None, opener=None, **overrides):
+    """Open a TAR-tree written by :func:`save_tree`.
+
+    Restores the saved node layout as it was (no insertion heuristic
+    runs), so the loaded tree makes the same node accesses, in the same
+    order, as the saved one.  ``overrides`` may only change TIA storage
+    (``tia_backend``, ``tia_page_size``, ``tia_buffer_slots``); any
+    other ``TARTree`` field would contradict the saved nodes and raises
+    ``ValueError``.  Raises :class:`CorruptSnapshotError` on truncated,
+    bit-flipped or inconsistent snapshots and
+    :class:`UnsupportedSnapshotError` (a ``ValueError``) for a format
+    version other than 3 or a cluster manifest.
     """
     from repro.core.tar_tree import POI, TARTree
 
+    for field in overrides:
+        if field not in _LOAD_OVERRIDES:
+            raise ValueError(
+                "load_tree cannot override %r: a snapshot fixes every tree "
+                "field but TIA storage (%s)" % (field, ", ".join(_LOAD_OVERRIDES))
+            )
     if opener is None:
         opener = open
     with opener(path) as handle:
@@ -407,31 +550,32 @@ def load_tree(path, stats=None, opener=None, **overrides):
             stats=stats,
         )
         max_mean_rate = config_json["max_mean_rate"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CorruptSnapshotError(
             "tree snapshot %s has a malformed config section: %r" % (path, exc),
             section="config",
         )
     config.update(overrides)
     tree = TARTree(**config)
-    # Restore the lambda-hat normaliser before placement so integral-3D
-    # z-coordinates match the saved tree's.
+    # The lambda-hat normaliser as saved: restoring it (rather than
+    # recomputing it) keeps save -> load -> save byte-identical.
     tree._max_mean_rate = max_mean_rate
     try:
-        for poi_id, x, y, history in sections["pois"]:
-            tree.insert_poi(POI(poi_id, x, y), {int(e): v for e, v in history})
+        rows = [
+            (POI(poi_id, x, y), {int(e): v for e, v in history})
+            for poi_id, x, y, history in sections["pois"]
+        ]
+        tias = tree._register_pois(rows)
     except (TypeError, ValueError) as exc:
         raise CorruptSnapshotError(
             "tree snapshot %s has a malformed POI section: %s" % (path, exc),
             section="pois",
         )
-    # insert_poi keeps a running maximum and may have pushed it past the
-    # saved normaliser (histories digested after the build drift upward
-    # until refresh_aggregate_dimension).  Restore the exact saved value:
-    # save -> load must reproduce the tree's state, not "heal" it, or
-    # crash recovery could never reach a byte-identical snapshot.
-    tree._max_mean_rate = max_mean_rate
-    # Pre-WAL snapshots (and v1) lack the key; None means "replay
+    tree.root = _restore_nodes(
+        tree, sections["nodes"], [poi for poi, _history in rows], tias
+    )
+    tree._size = len(rows)
+    # Snapshots written outside a WAL carry null; None means "replay
     # everything idempotently" rather than "nothing to replay".
     tree.applied_lsn = config_json.get("applied_lsn")
     return tree

@@ -32,7 +32,7 @@ from repro.reliability.faults import (
     inject_tree_faults,
 )
 from repro.reliability.wal import RECORD_INSERT, read_wal
-from repro.storage.serialize import save_tree
+from repro.storage.serialize import UnsupportedSnapshotError, load_tree, save_tree
 
 
 def trailing_query(tree, days=28.0, k=10, alpha0=0.3):
@@ -225,3 +225,9 @@ class TestManifestConsistency:
             handle.write("{not json")
         with pytest.raises(ClusterStateError, match="unreadable"):
             recover_cluster(directory)
+
+    def test_manifest_is_not_a_tree_snapshot(self, small_dataset, tmp_path):
+        directory = self.saved(small_dataset, tmp_path)
+        manifest = os.path.join(directory, "cluster.json")
+        with pytest.raises(UnsupportedSnapshotError, match="cluster manifest"):
+            load_tree(manifest)

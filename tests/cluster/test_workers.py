@@ -16,6 +16,7 @@ endpoints"):
 """
 
 import json
+import multiprocessing
 import os
 import random
 import socketserver
@@ -239,6 +240,21 @@ def remote_cluster(small_dataset, tmp_path_factory):
     single = TARTree.build(small_dataset)
     yield remote, single
     remote.close()
+
+
+@pytest.mark.timeout(300)
+def test_start_with_an_unreadable_shard_leaves_no_worker(small_dataset, tmp_path):
+    directory = make_cluster_dir(small_dataset, tmp_path / "c", num_shards=4)
+    with open(os.path.join(directory, "shard-2", "tree.json"), "w") as handle:
+        handle.write('{"version": 3, "sections": ')  # torn snapshot
+    before = {process.pid for process in multiprocessing.active_children()}
+    with pytest.raises(RuntimeError, match="shard-2"):
+        RemoteClusterTree.start(directory)
+    assert [
+        process
+        for process in multiprocessing.active_children()
+        if process.pid not in before
+    ] == []
 
 
 @pytest.mark.timeout(300)

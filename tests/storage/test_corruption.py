@@ -7,18 +7,17 @@ import numpy as np
 import pytest
 
 from repro import POI, TARTree, datasets
-from repro.core.knnta import knnta_search
-from repro.core.query import KNNTAQuery
 from repro.reliability.faults import flip_bit, truncate_file
 from repro.spatial.geometry import Rect
 from repro.storage.serialize import (
     CorruptSnapshotError,
+    UnsupportedSnapshotError,
     load_dataset,
     load_tree,
     save_dataset,
     save_tree,
 )
-from repro.temporal.epochs import EpochClock, TimeInterval
+from repro.temporal.epochs import EpochClock
 
 
 @pytest.fixture(scope="module")
@@ -160,35 +159,53 @@ class TestTreeCorruption:
         payload = json.loads(path.read_text())
         payload["version"] = 99
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="versions 1, 2"):
+        with pytest.raises(ValueError, match="format version 99; this build reads version 3"):
             load_tree(path)
 
-    def test_legacy_v1_snapshot_still_loads(self, tmp_path):
-        tree = build_tree()
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_versions_are_refused(self, version, tmp_path):
+        # Versions 1 and 2 stored no node layout: the tree they describe
+        # cannot be opened as it was saved, so they are not read at all.
         path = tmp_path / "t.json"
-        save_tree(tree, path)
+        save_tree(build_tree(), path)
         payload = json.loads(path.read_text())
-        legacy = dict(payload["sections"]["config"])
-        legacy["pois"] = payload["sections"]["pois"]
-        legacy["version"] = 1
-        path.write_text(json.dumps(legacy))
-        loaded = load_tree(path)
-        query = KNNTAQuery((50.0, 50.0), TimeInterval(0.0, 10.0), k=8)
-        assert [r.poi_id for r in knnta_search(loaded, query)] == [
-            r.poi_id for r in knnta_search(tree, query)
-        ]
+        sections = payload["sections"]
+        if version == 1:  # flat and checksum-less
+            old = dict(sections["config"], pois=sections["pois"], version=1)
+        else:
+            del sections["nodes"], payload["checksums"]["nodes"]
+            old = dict(payload, version=2)
+        path.write_text(json.dumps(old))
+        with pytest.raises(UnsupportedSnapshotError, match="format version %d;" % version):
+            load_tree(path)
 
 
 class TestRoundTripStability:
-    def test_save_load_save_is_byte_stable_after_digests(self, tmp_path):
+    def test_save_load_save_is_byte_stable_after_digests(
+        self, bulk_tree, mutated_tree, tmp_path
+    ):
         # Crash recovery byte-compares snapshots, so reloading must not
         # "heal" any state (e.g. the lambda-hat normaliser drifting as
-        # digested histories outgrow the build-time maximum).
-        tree = build_tree()
-        poi_id = next(iter(tree.poi_ids()))
-        tree.digest_epoch(11, {poi_id: 500})
-        first = tmp_path / "first.json"
-        second = tmp_path / "second.json"
-        save_tree(tree, first)
-        save_tree(load_tree(first), second)
-        assert first.read_bytes() == second.read_bytes()
+        # digested histories outgrow the build-time maximum, or leaf
+        # z-coordinates that a re-insertion would recompute).
+        digested = build_tree()
+        poi_id = next(iter(digested.poi_ids()))
+        digested.digest_epoch(11, {poi_id: 500})
+        empty = TARTree(
+            world=Rect((0.0, 0.0), (100.0, 100.0)),
+            clock=EpochClock(0.0, 1.0),
+            current_time=12.0,
+            tia_backend="memory",
+        )
+        trees = {
+            "digested": digested,
+            "bulk": bulk_tree,
+            "mutated": mutated_tree,
+            "empty": empty,
+        }
+        for name, tree in trees.items():
+            first = tmp_path / ("%s-first.json" % name)
+            second = tmp_path / ("%s-second.json" % name)
+            save_tree(tree, first)
+            save_tree(load_tree(first), second)
+            assert first.read_bytes() == second.read_bytes(), name

@@ -115,6 +115,26 @@ class TestTreeRoundTrip:
         assert reloaded.tia_backend == "paged"
         assert len(reloaded) == len(tree)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("strategy", "spatial"),
+            ("node_size", 2048),
+            ("world", Rect((0.0, 0.0), (200.0, 200.0))),
+            ("clock", EpochClock(0.0, 2.0)),
+            ("current_time", 99.0),
+            ("aggregate_kind", "max"),
+            ("min_fill_ratio", 0.2),
+            ("reinsert_ratio", 0.1),
+        ],
+    )
+    def test_layout_fields_cannot_be_overridden(self, field, value, tmp_path):
+        # The saved nodes fix these; an override would contradict them.
+        path = tmp_path / "tree.json"
+        save_tree(build_tree(), path)
+        with pytest.raises(ValueError, match="cannot override '%s'" % field):
+            load_tree(path, **{field: value})
+
     def test_histories_preserved(self, tmp_path):
         tree = build_tree()
         path = tmp_path / "tree.json"

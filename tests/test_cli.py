@@ -343,6 +343,26 @@ class TestVerify:
         assert code == 2
         assert "cannot read dataset snapshot" in output
 
+    def test_unsupported_version_exits_two(self, tree_file, tmp_path):
+        import json
+
+        payload = json.loads(tree_file.read_text())
+        for version in (2, 99):
+            other = tmp_path / ("v%d.json" % version)
+            other.write_text(json.dumps(dict(payload, version=version)))
+            for command in (
+                ["verify", str(other)],
+                ["query", str(other), "--x", "50", "--y", "50", "--last-days", "60"],
+            ):
+                code, output = run_cli(command)
+                assert code == 2
+                assert "format version %d;" % version in output
+
+    def test_cluster_manifest_exits_two(self, cluster_dir):
+        code, output = run_cli(["verify", str(cluster_dir / "cluster.json")])
+        assert code == 2
+        assert "cluster manifest" in output
+
     def test_corrupt_dataset_exits_two(self, tree_file, tmp_path):
         garbage = tmp_path / "garbage.npz"
         garbage.write_bytes(b"\x00" * 64)

@@ -3,6 +3,8 @@
 import inspect
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -118,6 +120,25 @@ def test_subpackages_importable():
 
     assert callable(repro.cli.main)
     assert callable(repro.datasets.make)
+
+
+def test_import_does_not_load_scipy():
+    # Only CostModel needs scipy; every process that imports repro (a
+    # shard worker above all) would otherwise pay its import time and
+    # memory.
+    source = os.path.dirname(os.path.dirname(repro.__file__))
+    probe = (
+        "import sys, repro, repro.cluster.workers; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=source),
+    )
+    assert result.stdout.strip() == "[]"
 
 
 class TestDevtoolsSurface:
