@@ -11,11 +11,14 @@ the figure files can share structures.
 """
 
 import functools
+import os
+import platform
+import subprocess
 import time
 from typing import NamedTuple
 
 from repro import TARTree, datasets
-from repro.core.collective import CollectiveProcessor, process_individually
+from repro.core.collective import CollectiveProcessor
 from repro.core.knnta import knnta_search
 from repro.core.scan import sequential_scan
 from repro.datasets.workload import generate_queries
@@ -31,12 +34,30 @@ N_QUERIES = 200
 DEFAULT_EPOCH_LENGTH = 7.0
 DEFAULT_NODE_SIZE = 1024
 
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+
 STRATEGIES = ("integral3d", "spatial", "aggregate")
 STRATEGY_LABELS = {
     "integral3d": "TAR-tree",
     "spatial": "IND-spa",
     "aggregate": "IND-agg",
 }
+
+
+def host():
+    """The machine and checkout a run was measured on."""
+    try:
+        revision = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=ROOT, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        revision = None
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "git_revision": revision,
+    }
 
 
 @functools.lru_cache(maxsize=None)
@@ -143,7 +164,7 @@ def measure_individual(tree, queries):
     """Run ``queries`` one by one (the Section 8.4 baseline)."""
     snap = tree.stats.snapshot()
     start = time.perf_counter()
-    process_individually(tree, list(queries))
+    tree.query_batch(list(queries))
     elapsed = time.perf_counter() - start
     delta = tree.stats.diff(snap)
     n = len(queries)

@@ -23,11 +23,10 @@ take turns going first.
 import functools
 import json
 import os
-import platform
 import random
-import subprocess
 import time
 
+from _harness import ROOT, host
 from repro import KNNTAQuery, TARTree, datasets
 from repro.continuous import SubscriptionRegistry, window_state
 from repro.core.collective import CollectiveProcessor
@@ -42,28 +41,10 @@ SEED = 42
 SUBSCRIBERS = (1, 8, 64)
 WINDOWS = (2, 8)
 
-ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
-
 
 @functools.lru_cache(maxsize=None)
 def get_data():
     return datasets.make(DATASET, scale=SCALE, seed=SEED)
-
-
-def host():
-    """The machine and checkout a run was measured on."""
-    try:
-        revision = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=ROOT, capture_output=True, text=True, check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        revision = None
-    return {
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "git_revision": revision,
-    }
 
 
 def one_shot_query(tree, point, window, k):

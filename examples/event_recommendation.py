@@ -17,7 +17,7 @@ import random
 import time
 
 from repro import TARTree, datasets
-from repro.core.collective import CollectiveProcessor, process_individually
+from repro.core.collective import CollectiveProcessor
 from repro.core.query import KNNTAQuery
 from repro.temporal.epochs import TimeInterval
 
@@ -57,7 +57,7 @@ def main():
 
     snapshot = tree.stats.snapshot()
     start = time.perf_counter()
-    individual_results = process_individually(tree, queries)
+    individual_results = tree.query_batch(queries)
     individual_time = time.perf_counter() - start
     individual_stats = tree.stats.diff(snapshot)
 

@@ -17,14 +17,13 @@ Quickstart::
     results = tree.query(query)
 
 One :class:`~repro.core.query.KNNTAQuery` value serves every entry
-point — ``tree.query``, the fault-tolerant ``tree.robust_query``, the
-module-level :func:`knnta_search` / :func:`sequential_scan` /
-:func:`robust_knnta`, and the enhancement APIs — and every answer they
-return satisfies the :class:`~repro.core.query.Answer` protocol
-(``rows`` / ``exact`` / ``coverage`` / ``score_bound``) while its rows
-destructure like :class:`~repro.core.query.QueryResult`.  The old
-``tree.knnta`` / ``tree.robust_knnta`` facades survive as deprecated
-always-warning shims.
+point — ``tree.query``, its batch form ``tree.query_batch``, the
+fault-tolerant ``tree.robust_query``, the module-level
+:func:`knnta_search` / :func:`sequential_scan` / :func:`robust_knnta`,
+and the enhancement APIs — and every answer they return satisfies the
+:class:`~repro.core.query.Answer` protocol (``rows`` / ``exact`` /
+``coverage`` / ``score_bound``) while its rows destructure like
+:class:`~repro.core.query.QueryResult`.
 
 Queries run on packed per-node buffers (:mod:`repro.core.frames`) kept
 coherent through the tree's mutation hooks; answers are bit-identical

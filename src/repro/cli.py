@@ -996,7 +996,8 @@ def _command_serve(args, out, err):
                 except ClusterStateError as exc:
                     # Distinct refusal: a cluster manifest rolled back
                     # behind committed shard state (or a shard behind
-                    # its checkpoint) must never be served.
+                    # its checkpoint) must never be served, and a
+                    # worker that cannot open its shard names it.
                     print(
                         "cannot start shard workers for %s: %s"
                         % (args.tree, exc),

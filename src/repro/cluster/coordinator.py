@@ -92,8 +92,9 @@ from repro.cluster.resilience import (
     ShardHealthEvent,
     classify_error,
 )
-from repro.core.collective import CollectiveProcessor
-from repro.core.knnta import knnta_search
+# Unused here since shards are searched through tree.query/query_batch;
+# kept because the benchmark tracer (perfbench/spans.py) wraps this name.
+from repro.core.knnta import knnta_search  # noqa: F401
 from repro.core.query import KNNTAQuery, Normalizer, QueryResult, RankedAnswer
 from repro.core.tar_tree import DEFAULT_EPOCH_LENGTH_DAYS, POI, TARTree
 from repro.devtools.lockmodel import COUNTER, RECOVERY, ROUTING, SHARD_RW
@@ -110,7 +111,6 @@ if TYPE_CHECKING:
     from repro.datasets.generator import Dataset
     from repro.reliability.recovery import CheckpointedIngest
     from repro.service.scrubber import Scrubber
-    from repro.spatial.rstar import Node
 
 __all__ = ["ClusterStateError", "ClusterTree", "Shard", "ShardEndpoint"]
 
@@ -150,8 +150,8 @@ class ShardEndpoint(Protocol):
     endpoint checks the guard's ``token`` once it holds the shard lock,
     so a call abandoned at its deadline never applies late.  The
     mutations and ``describe`` keep ``descriptor`` (the pruning-bound
-    state) in step with the shard.  ``query``/``batch`` return access
-    counts when the transport measures them; ``reopen`` recovers a fresh
+    state) in step with the shard.  ``query``/``batch`` return the
+    call's node accesses beside the rows; ``reopen`` recovers a fresh
     endpoint that ``adopt`` cuts over to unless :func:`check_cutover`
     refuses.
     """
@@ -169,10 +169,10 @@ class ShardEndpoint(Protocol):
 
     def query(
         self, token: CallToken, query: KNNTAQuery, normalizer: Normalizer
-    ) -> tuple[list[QueryResult], AccessStats | None]: ...
+    ) -> tuple[list[QueryResult], AccessStats]: ...
     def batch(
         self, token: CallToken, queries: Sequence[KNNTAQuery], normalizers: Normalizers
-    ) -> tuple[Sequence[Sequence[QueryResult]], AccessStats | None] | None: ...
+    ) -> tuple[Sequence[Sequence[QueryResult]], AccessStats]: ...
     def insert(
         self, token: CallToken, poi: POI, aggregates: Mapping[int, int] | None
     ) -> int | None: ...
@@ -232,35 +232,23 @@ class Shard:
     def query(
         self, token: CallToken, query: KNNTAQuery, normalizer: Normalizer
     ) -> tuple[list[QueryResult], AccessStats]:
-        shard_stats = AccessStats()
+        stats = AccessStats()
         with self.lock.read_locked():
             token.check()
-            # Node accesses route through the view; TIA page accesses
-            # land on the shard tree's own stats, so diff them into the
-            # per-call stats (approximate only under concurrent readers,
-            # exactly as for service batches on one tree).
-            view = cast(TARTree, _ShardView(self.tree, shard_stats))
-            tia_before = self.tree.stats.snapshot()
-            results = knnta_search(view, query, normalizer=normalizer)
-            shard_stats.merge(self.tree.stats.diff(tia_before))
-        return results, shard_stats
+            results = self.tree.query(query, normalizer, stats)
+        return results, stats
 
     def batch(
         self,
         token: CallToken,
         queries: Sequence[KNNTAQuery],
         normalizers: Normalizers,
-    ) -> tuple[list[RankedAnswer], AccessStats] | None:
-        shard_stats = AccessStats()
+    ) -> tuple[list[RankedAnswer], AccessStats]:
+        stats = AccessStats()
         with self.lock.read_locked():
             token.check()
-            if not self.tree.root.entries:
-                return None
-            view = cast(TARTree, _ShardView(self.tree, shard_stats, normalizers))
-            tia_before = self.tree.stats.snapshot()
-            lists = CollectiveProcessor(view).run(queries, stats=shard_stats)
-            shard_stats.merge(self.tree.stats.diff(tia_before))
-        return lists, shard_stats
+            lists = self.tree.query_batch(queries, normalizers, stats)
+        return lists, stats
 
     def contains(self, poi_id: Any) -> bool:
         with self.lock.read_locked():
@@ -390,48 +378,6 @@ class Shard:
         )
 
 
-class _ShardView:
-    """Duck-typed shard-tree view used during scatter-gather.
-
-    Routes ``record_node_access`` into a per-call private
-    :class:`~repro.storage.stats.AccessStats` (so concurrent queries
-    attribute node accesses exactly, as the service's batch view does)
-    and overrides ``normalizer`` to hand back the *cluster-level*
-    normaliser — a shard computing its own would use shard-local
-    per-epoch maxima and break cross-shard score comparability.
-    Everything else resolves on the wrapped tree.  TIA page accesses
-    stay on the shard tree's own stats, as they do for service batches.
-    """
-
-    __slots__ = ("_tree", "stats", "_normalizers")
-
-    def __init__(
-        self,
-        tree: TARTree,
-        stats: AccessStats,
-        normalizers: Normalizers | None = None,
-    ) -> None:
-        self._tree = tree
-        self.stats = stats
-        self._normalizers = normalizers
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._tree, name)
-
-    def record_node_access(self, node: Node) -> None:
-        self.stats.record_node(node.is_leaf)
-
-    def normalizer(
-        self,
-        interval: TimeInterval,
-        semantics: IntervalSemantics = IntervalSemantics.INTERSECTS,
-        exact: bool = False,
-    ) -> Normalizer:
-        if self._normalizers is None:
-            return self._tree.normalizer(interval, semantics, exact)
-        return self._normalizers[(interval, semantics)]
-
-
 class _Gathered(NamedTuple):
     """One query's scatter-gather outcome (see ``ClusterTree._scatter``)."""
 
@@ -533,8 +479,7 @@ class ClusterTree(Generic[_Endpoint]):
         self.world, self.clock, self.aggregate_kind = self.shards[0].identity()
         #: Merged access totals across all cluster queries (the cluster
         #: analogue of ``TARTree.stats``; node accesses only — TIA page
-        #: accesses accrue on each shard tree's own stats, and a worker
-        #: reports none).
+        #: accesses accrue on each shard tree's own stats).
         self.stats = AccessStats()
         self.queries = 0
         self.shards_visited = 0
@@ -866,8 +811,7 @@ class ClusterTree(Generic[_Endpoint]):
         """Answer ``query`` exactly; see the module docs for the bound.
 
         ``stats`` (when given) additionally receives the merged node
-        accesses of this call, for per-request attribution (workers
-        report none).
+        accesses of this call, for per-request attribution.
 
         When a shard is down, the answer is still *exact* whenever the
         degradation certificate holds (the shard's best-possible score
@@ -898,10 +842,9 @@ class ClusterTree(Generic[_Endpoint]):
         (``shards.failed`` — shards that errored out of the dispatch,
         ``shards.certified`` — failed shards proven irrelevant by the
         bound certificate, ``shards.down`` — breakers currently open).
-        Shards that measure their accesses (in process) add per-shard
-        counters under ``shards.<i>.*`` and the merged totals (the
-        plain :meth:`AccessStats.as_dict` keys); a worker sends none,
-        so none are reported for it.
+        Every visited shard adds its node accesses under
+        ``shards.<i>.*``, and the merged totals follow under the plain
+        :meth:`AccessStats.as_dict` keys.
         """
         with self._routing.read_locked():
             gathered = self._scatter(query, normalizer)
@@ -914,10 +857,9 @@ class ClusterTree(Generic[_Endpoint]):
             "shards.certified": gathered.failed - len(gathered.blocking),
             "shards.down": down,
         }
-        if gathered.per_shard:
-            for index, shard_stats in sorted(gathered.per_shard.items()):
-                cost.update(shard_stats.as_dict(label="shards.%d" % index))
-            cost.update(self._account(gathered.per_shard.values()).as_dict())
+        for index, shard_stats in sorted(gathered.per_shard.items()):
+            cost.update(shard_stats.as_dict(label="shards.%d" % index))
+        cost.update(self._account(gathered.per_shard.values()).as_dict())
         answer = self._resolve(
             gathered.top, gathered.blocking, allow_degraded, gathered.shards
         )
@@ -929,15 +871,14 @@ class ClusterTree(Generic[_Endpoint]):
         stats: AccessStats | None = None,
         allow_degraded: bool | None = None,
     ) -> list[RankedAnswer | DegradedAnswer]:
-        """Answer a collective batch: one batch call per shard, full merge.
+        """Answer a batch: one batch call per shard, full merge.
 
-        Every shard runs the whole batch under one shard snapshot (in
-        process through its :class:`~repro.core.collective
-        .CollectiveProcessor`, sharing node fetches and per-interval
-        aggregates), with the cluster-level normalisers pushed down;
-        per-query results merge deterministically.  Batches visit all
-        shards — the per-query pruning bound does not compose across a
-        whole batch.
+        Every non-empty shard runs the whole batch under one shard
+        snapshot (:meth:`~repro.core.tar_tree.TARTree.query_batch`, one
+        search per rider), with the cluster-level normalisers pushed
+        down; per-query results merge deterministically.  Batches visit
+        every shard whose descriptor holds a POI — the per-query pruning
+        bound does not compose across a whole batch.
 
         A shard failing out of the dispatch degrades *per rider*: each
         answer is certified on its own bound (the missed shard's
@@ -953,14 +894,11 @@ class ClusterTree(Generic[_Endpoint]):
 
         def absorb(
             index: int,
-            outcome: tuple[Sequence[Sequence[QueryResult]], AccessStats | None] | None,
+            outcome: tuple[Sequence[Sequence[QueryResult]], AccessStats],
         ) -> None:
-            if outcome is None:
-                return
             lists, shard_stats = outcome
             visited.append(index)
-            if shard_stats is not None:
-                per_shard.append(shard_stats)
+            per_shard.append(shard_stats)
             for rows, results in zip(merged, lists):
                 rows.extend(
                     (result.score, index, position, result)
@@ -974,7 +912,11 @@ class ClusterTree(Generic[_Endpoint]):
                 if key not in normalizers:
                     normalizers[key] = self._normalizer(*key)
             failed, _ = self._gather(
-                [shard.index for shard in self.shards],
+                [
+                    shard.index
+                    for shard in self.shards
+                    if self._descriptor(shard).mbr is not None
+                ],
                 lambda index: self._guards[index].call(
                     "query",
                     lambda token: self.shards[index].batch(token, queries, normalizers),
@@ -1054,12 +996,11 @@ class ClusterTree(Generic[_Endpoint]):
             return bound_of[index] >= kth
 
         def absorb(
-            index: int, answer: tuple[list[QueryResult], AccessStats | None]
+            index: int, answer: tuple[list[QueryResult], AccessStats]
         ) -> None:
             results, shard_stats = answer
             visited.append(index)
-            if shard_stats is not None:
-                per_shard[index] = shard_stats
+            per_shard[index] = shard_stats
             rows.extend(
                 (result.score, index, position, result)
                 for position, result in enumerate(results)

@@ -65,6 +65,7 @@ from repro.devtools.watchdog import monitored_lock
 from repro.reliability.faults import TransientIOError
 from repro.service.server import PROTO_VERSION
 from repro.spatial.geometry import Rect
+from repro.storage.stats import AccessStats
 from repro.temporal.epochs import EpochClock
 from repro.temporal.tia import AggregateKind
 
@@ -275,14 +276,24 @@ def _wire_query(query: KNNTAQuery, normalizer: Normalizer) -> dict[str, Any]:
     }
 
 
+def _wire_stats(response: Mapping[str, Any]) -> AccessStats:
+    """A reply's ``stats``: the four raw :class:`AccessStats` counters."""
+    stats = AccessStats()
+    internal, leaf, pages, hits = response["stats"]
+    stats.rtree_internal, stats.rtree_leaf = int(internal), int(leaf)
+    stats.tia_pages, stats.tia_buffer_hits = int(pages), int(hits)
+    return stats
+
+
 class RemoteShard:
     """The worker endpoint: one shard process behind a :class:`WorkerClient`.
 
     Holds no tree — only the connection, the (optional) process handle,
     the last state the worker reported (descriptor, applied LSN, clock
     time; see :meth:`absorb`) and the manifest LSN of the last cluster
-    checkpoint (for lag).  Worker-side node and page accesses are not
-    reported.
+    checkpoint (for lag).  ``query`` and ``batch`` replies carry the
+    call's node accesses, as the in-process :class:`~repro.cluster
+    .coordinator.Shard` returns them.
     """
 
     __slots__ = (
@@ -368,18 +379,21 @@ class RemoteShard:
 
     def query(
         self, token: CallToken, query: KNNTAQuery, normalizer: Normalizer
-    ) -> tuple[list[QueryResult], None]:
+    ) -> tuple[list[QueryResult], AccessStats]:
         payload = _wire_query(query, normalizer)
         payload["op"] = "query"
         response = self._request(payload)
-        return [QueryResult(*row) for row in response["results"]], None
+        return (
+            [QueryResult(*row) for row in response["results"]],
+            _wire_stats(response),
+        )
 
     def batch(
         self,
         token: CallToken,
         queries: Sequence[KNNTAQuery],
         normalizers: Normalizers,
-    ) -> tuple[list[list[QueryResult]], None]:
+    ) -> tuple[list[list[QueryResult]], AccessStats]:
         """One ``batch`` frame: the worker runs every rider under a
         single shard read lock (a consistent snapshot)."""
         riders = [
@@ -389,7 +403,7 @@ class RemoteShard:
         response = self._request({"op": "batch", "queries": riders})
         return [
             [QueryResult(*row) for row in rows] for rows in response["results"]
-        ], None
+        ], _wire_stats(response)
 
     def contains(self, poi_id: Any) -> bool:
         return bool(self._request({"op": "contains", "poi_id": poi_id}).get("contains"))

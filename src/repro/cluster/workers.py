@@ -18,11 +18,14 @@ process boundary around it.
 Worker ops (beyond the shared ``hello`` / ``shutdown`` frames):
 
 ``query`` / ``batch``
-    One kNNTA search (or a list of them, under a single read lock) with
-    the *cluster-level* normaliser pushed down as ``[d_max, g_max]`` —
-    a shard normalising against its own local maxima would break
-    cross-shard score comparability, so the exact constants ride the
-    wire (JSON floats round-trip exactly; answers stay bit-identical).
+    One ``tree.query`` (or one ``tree.query_batch``, under a single read
+    lock) with the *cluster-level* normaliser pushed down as ``[d_max,
+    g_max]`` — a shard normalising against its own local maxima would
+    break cross-shard score comparability, so the exact constants ride
+    the wire (JSON floats round-trip exactly; answers stay
+    bit-identical).  The reply carries the call's node accesses as
+    ``stats``: the four raw :class:`~repro.storage.stats.AccessStats`
+    counters.
 ``insert`` / ``delete`` / ``digest``
     Routed mutations through the shard WAL under the write lock; every
     response returns the refreshed descriptor (root MBR, per-epoch
@@ -52,8 +55,9 @@ import time
 from multiprocessing.process import BaseProcess
 from typing import Any, BinaryIO, Callable, Sequence, TypeVar
 
+from repro.cluster.coordinator import ClusterStateError
 from repro.cluster.resilience import ShardDescriptor
-from repro.core.query import KNNTAQuery, Normalizer
+from repro.core.query import KNNTAQuery, Normalizer, RankedAnswer
 from repro.core.tar_tree import POI
 from repro.devtools.lockmodel import SHARD_RW
 from repro.reliability.recovery import CheckpointedIngest, recover
@@ -62,6 +66,7 @@ from repro.service.locks import ReadWriteLock
 from repro.service.server import PROTO_VERSION, proto_mismatch_response
 from repro.service.scrubber import Scrubber
 from repro.spatial.geometry import Rect
+from repro.storage.stats import AccessStats
 from repro.temporal.epochs import TimeInterval
 from repro.temporal.tia import IntervalSemantics
 
@@ -124,6 +129,27 @@ def _parse_normalizer(payload: dict[str, Any]) -> Normalizer:
     # constants must be used verbatim for bit-identical scores.
     d_max, g_max = payload["normalizer"]
     return Normalizer(float(d_max), float(g_max))
+
+
+def _parse_batch(
+    payload: dict[str, Any],
+) -> tuple[list[KNNTAQuery], dict[tuple[TimeInterval, IntervalSemantics], Normalizer]]:
+    """A batch's riders and their normaliser per ``(interval, semantics)``."""
+    queries: list[KNNTAQuery] = []
+    normalizers: dict[tuple[TimeInterval, IntervalSemantics], Normalizer] = {}
+    for rider in payload["queries"]:
+        query = _parse_query(rider)
+        normalizer = _parse_normalizer(rider)
+        key = (query.interval, query.semantics)
+        if normalizers.setdefault(key, normalizer) != normalizer:
+            raise ValueError("riders over one interval carry different normalizers")
+        queries.append(query)
+    return queries, normalizers
+
+
+def _rows(answer: RankedAnswer) -> list[list[Any]]:
+    """An answer's rows in wire shape."""
+    return [[row.poi_id, row.score, row.distance, row.aggregate] for row in answer]
 
 
 def _rect_pair(rect: Rect) -> list[list[float]]:
@@ -281,43 +307,25 @@ class ShardWorkerServer:
                 "descriptor": _describe(self.descriptor),
             }
 
-    def _query_rows(
-        self, query: KNNTAQuery, normalizer: Normalizer
-    ) -> list[list[Any]]:
-        """One search against the pushed-down normaliser (lock held)."""
-        answer = self.tree.query(query, normalizer=normalizer)
-        return [
-            [row.poi_id, row.score, row.distance, row.aggregate]
-            for row in answer.rows
-        ]
-
     def _op_query(self, payload: dict[str, Any]) -> dict[str, Any]:
         query, normalizer = _parsed(
             lambda: (_parse_query(payload), _parse_normalizer(payload))
         )
+        stats = AccessStats()
         with self.lock.read_locked():
-            if not self.tree.root.entries:
-                return {"ok": True, "results": []}
-            return {"ok": True,
-                    "results": self._query_rows(query, normalizer)}
+            answer = self.tree.query(query, normalizer, stats)
+        return {"ok": True, "results": _rows(answer),
+                "stats": list(stats.snapshot())}
 
     def _op_batch(self, payload: dict[str, Any]) -> dict[str, Any]:
-        riders = _parsed(
-            lambda: [
-                (_parse_query(rider), _parse_normalizer(rider))
-                for rider in payload["queries"]
-            ]
-        )
+        queries, normalizers = _parsed(lambda: _parse_batch(payload))
+        stats = AccessStats()
         # All riders under one read lock: a consistent snapshot, exactly
-        # like the in-process shard's collective run.
+        # like the in-process shard's batch.
         with self.lock.read_locked():
-            if not self.tree.root.entries:
-                return {"ok": True, "results": [[] for _ in riders]}
-            results = [
-                self._query_rows(query, normalizer)
-                for query, normalizer in riders
-            ]
-        return {"ok": True, "results": results}
+            answers = self.tree.query_batch(queries, normalizers, stats)
+        return {"ok": True, "results": [_rows(answer) for answer in answers],
+                "stats": list(stats.snapshot())}
 
     # -- mutations ------------------------------------------------------
 
@@ -506,8 +514,8 @@ class WorkerHandle:
         is removed first, so each endpoint read is the new process's.
         If a worker dies during startup or misses the deadline, every
         worker this call started is terminated and joined, and a
-        ``RuntimeError`` names the shard directory.  Returns the handles
-        in ``directories`` order.
+        :class:`~repro.cluster.coordinator.ClusterStateError` names the
+        shard directory.  Returns the handles in ``directories`` order.
         """
         if isinstance(directories, str):
             raise TypeError("spawn takes a sequence of shard directories")
@@ -541,12 +549,12 @@ class WorkerHandle:
                     except (FileNotFoundError, ValueError):
                         pass
                     if not process.is_alive():
-                        raise RuntimeError(
+                        raise ClusterStateError(
                             "shard worker for %s died during startup (exit code %r)"
                             % (directory, process.exitcode)
                         )
                     if time.monotonic() > deadline:
-                        raise RuntimeError(
+                        raise ClusterStateError(
                             "shard worker for %s did not announce within %.1fs"
                             % (directory, timeout)
                         )

@@ -8,6 +8,13 @@ additionally grouped so the aggregate computation on each TIA in the
 fetched node happens once per interval rather than once per query —
 effective in practice because applications offer only a few interval
 presets ("one day", "one week", ...).
+
+The paper counts node accesses as disk pages.  Here nodes live in
+memory, and on the serving benchmark's workloads the per-rider loop of
+:meth:`~repro.core.tar_tree.TARTree.query_batch` costs less CPU per
+query, so the service and the cluster serve batches with that loop;
+this module is the Section 7.2 algorithm the benchmarks and tests
+compare against (docs/SERVICE.md, "Micro-batching semantics").
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ from collections import defaultdict
 from math import sqrt
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
-from repro.core.knnta import knnta_search
 from repro.core.query import QueryResult, RankedAnswer
 from repro.temporal.tia import AggregateKind
 
@@ -212,21 +218,3 @@ class CollectiveProcessor:
                     raw_distance = entry.mbr.min_dist(state.query.point)
                     state.push(entry, raw_distance, raw_aggregate)
 
-
-def process_individually(
-    tree: TARTree, queries: Sequence[KNNTAQuery]
-) -> list[RankedAnswer]:
-    """Baseline: answer each query independently (Section 8.4's rival).
-
-    The paper's *individual* configuration gives the TIAs no buffer; set
-    that through the tree's construction (``tia_buffer_slots=0``) — this
-    function just runs :func:`~repro.core.knnta.knnta_search` per query.
-    """
-    normalizers: dict[tuple[TimeInterval, IntervalSemantics], Normalizer] = {}
-    results: list[RankedAnswer] = []
-    for query in queries:
-        key = (query.interval, query.semantics)
-        if key not in normalizers:
-            normalizers[key] = tree.normalizer(query.interval, query.semantics)
-        results.append(knnta_search(tree, query, normalizer=normalizers[key]))
-    return results

@@ -38,6 +38,7 @@ if TYPE_CHECKING:
     from repro.core.query import KNNTAQuery, Normalizer
     from repro.core.tar_tree import TARTree
     from repro.spatial.rstar import Entry, Node
+    from repro.storage.stats import AccessStats
 
 
 def knnta_search(
@@ -50,16 +51,28 @@ def knnta_search(
     satisfies the :class:`~repro.core.query.Answer` protocol.
     ``normalizer`` defaults to the tree's root-bound normaliser for the
     query interval (see ``TARTree.normalizer``).  Node accesses and TIA
-    page accesses are recorded into ``tree.stats``.  This is the
-    bounded form of :func:`knnta_browse` — it consumes exactly the
-    first ``query.k`` results of the same best-first traversal, so the
-    two functions are access-for-access identical up to ``k``.  (For
-    fault-tolerant execution see
-    :func:`repro.reliability.recovery.robust_knnta`.)
+    page accesses are recorded into ``tree.stats``
+    (:meth:`~repro.core.tar_tree.TARTree.query` takes a per-call
+    ``stats`` for the node accesses).  This is the bounded form of
+    :func:`knnta_browse` — it consumes exactly the first ``query.k``
+    results of the same best-first traversal, so the two functions are
+    access-for-access identical up to ``k``.  (For fault-tolerant
+    execution see :func:`repro.reliability.recovery.robust_knnta`.)
     """
+    return search(tree, query, normalizer, tree.stats)
+
+
+def search(
+    tree: TARTree,
+    query: KNNTAQuery,
+    normalizer: Normalizer | None,
+    stats: AccessStats,
+) -> RankedAnswer:
+    """:func:`knnta_search` with its node accesses recorded into ``stats``
+    (the body of :meth:`~repro.core.tar_tree.TARTree.query`)."""
     query.validate()
     return RankedAnswer(
-        itertools.islice(knnta_browse(tree, query, normalizer=normalizer), query.k)
+        itertools.islice(_best_first(tree, query, normalizer, stats), query.k)
     )
 
 
@@ -75,6 +88,16 @@ def knnta_browse(
     charged lazily, only as far as the consumer iterates.
     """
     query.validate()
+    yield from _best_first(tree, query, normalizer, tree.stats)
+
+
+def _best_first(
+    tree: TARTree,
+    query: KNNTAQuery,
+    normalizer: Normalizer | None,
+    stats: AccessStats,
+) -> Iterator[QueryResult]:
+    """The best-first traversal; each expanded node is counted in ``stats``."""
     if normalizer is None:
         normalizer = tree.normalizer(query.interval, query.semantics)
     root = tree.root
@@ -155,7 +178,8 @@ def knnta_browse(
             for entry in node.entries:
                 push(entry)
 
-    tree.record_node_access(root)
+    record_node = stats.record_node
+    record_node(root.is_leaf)
     expand(root)
     while heap:
         score, _, entry, distance, aggregate = heapq.heappop(heap)
@@ -163,7 +187,7 @@ def knnta_browse(
             yield QueryResult(entry.item, score, distance, aggregate)
             continue
         child = cast("Node", entry.child)
-        tree.record_node_access(child)
+        record_node(child.is_leaf)
         expand(child)
 
 

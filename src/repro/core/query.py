@@ -112,10 +112,6 @@ class RankedAnswer(List[QueryResult]):
     exact = True
     coverage = 1.0
     score_bound: float | None = None
-    #: Legacy duck-type marker mirrored from the degraded types so wire
-    #: code written against ``getattr(rows, "degraded", ...)`` keeps
-    #: working one more release; prefer ``not answer.exact``.
-    degraded = False
     missed_shards: Tuple[int, ...] = ()
 
     @property

@@ -18,7 +18,6 @@ follows the configured entry grouping strategy
 from __future__ import annotations
 
 import math
-import warnings
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -653,23 +652,61 @@ class TARTree:
     # ------------------------------------------------------------------
 
     def query(
-        self, query: KNNTAQuery, normalizer: Normalizer | None = None
+        self,
+        query: KNNTAQuery,
+        normalizer: Normalizer | None = None,
+        stats: AccessStats | None = None,
     ) -> RankedAnswer:
         """Answer a :class:`~repro.core.query.KNNTAQuery` — *the* query
         entry point.
 
-        Delegates to :func:`repro.core.knnta.knnta_search` and returns
-        the ranked :class:`~repro.core.query.RankedAnswer` (a list of
+        Runs the best-first search of :func:`repro.core.knnta
+        .knnta_search` and returns the ranked
+        :class:`~repro.core.query.RankedAnswer` (a list of
         :class:`~repro.core.query.QueryResult` rows satisfying the
-        :class:`~repro.core.query.Answer` protocol).  :meth:`robust_query`
-        is the fault-tolerant companion; the :meth:`knnta` /
-        :meth:`robust_knnta` facades are deprecated shims over these
-        two, and every entry point accepts the same query value, so one
-        ``KNNTAQuery`` serves them all.
+        :class:`~repro.core.query.Answer` protocol).  ``normalizer``
+        defaults to :meth:`normalizer` for the query's interval; a
+        cluster pushes its own down.  ``stats``, when given, receives
+        this call's node accesses in place of :attr:`stats`, so
+        concurrent callers attribute them exactly; TIA page accesses
+        always go to :attr:`stats`.  :meth:`robust_query` is the
+        fault-tolerant companion and :meth:`query_batch` the batch form.
         """
-        from repro.core.knnta import knnta_search
+        from repro.core.knnta import search
 
-        return knnta_search(self, query, normalizer=normalizer)
+        return search(self, query, normalizer, self.stats if stats is None else stats)
+
+    def query_batch(
+        self,
+        queries: Sequence[KNNTAQuery],
+        normalizers: Mapping[tuple[TimeInterval, IntervalSemantics], Normalizer]
+        | None = None,
+        stats: AccessStats | None = None,
+    ) -> list[RankedAnswer]:
+        """Answer each query in ``queries`` with its own :meth:`query`.
+
+        Riders share one normaliser per ``(interval, semantics)`` key:
+        ``normalizers[key]`` when given (a cluster pushes its own),
+        else :meth:`normalizer` once per key.  The caller holds whatever
+        lock makes the batch one snapshot.  ``stats`` receives every
+        rider's node accesses, so a batch costs the sum of its riders.
+        Collective processing (Section 7.2,
+        :class:`~repro.core.collective.CollectiveProcessor`) shares node
+        fetches instead; on the serving benchmark's workloads it costs
+        more CPU per query than this loop (docs/SERVICE.md,
+        "Micro-batching semantics").
+        """
+        shared: dict[tuple[TimeInterval, IntervalSemantics], Normalizer] = {}
+        for query in queries:
+            key = (query.interval, query.semantics)
+            if key not in shared:
+                shared[key] = (
+                    self.normalizer(*key) if normalizers is None else normalizers[key]
+                )
+        return [
+            self.query(query, shared[(query.interval, query.semantics)], stats)
+            for query in queries
+        ]
 
     def robust_query(self, query: KNNTAQuery, **options: Any) -> RobustAnswer:
         """Fault-tolerant form of :meth:`query`.
@@ -686,82 +723,6 @@ class TARTree:
         from repro.reliability.recovery import robust_knnta
 
         return robust_knnta(self, query, **options)
-
-    def _coerce_query(
-        self,
-        name: str,
-        q: KNNTAQuery | Sequence[float],
-        interval: TimeInterval | None,
-        k: int,
-        alpha0: float,
-        semantics: IntervalSemantics,
-    ) -> KNNTAQuery:
-        """Shim support: warn, then accept either calling shape.
-
-        The facades warn *unconditionally* — calling :meth:`knnta` with
-        a ready ``KNNTAQuery`` is just :meth:`query` under an obsolete
-        name and should say so, not pass silently.
-        """
-        warnings.warn(
-            "TARTree.%s() is deprecated; call TARTree.query() / "
-            "TARTree.robust_query() with a KNNTAQuery" % name,
-            DeprecationWarning,
-            # Frames above the warn call: [1] _coerce_query, [2] the
-            # knnta/robust_knnta shim, [3] the caller — the warning must
-            # name the caller's file, not this one (asserted in tests).
-            stacklevel=3,
-        )
-        if isinstance(q, KNNTAQuery):
-            return q
-        if interval is None:
-            raise TypeError(
-                "%s() needs an interval when not given a KNNTAQuery" % name
-            )
-        return KNNTAQuery(
-            cast("tuple[float, float]", tuple(q)), interval, k, alpha0, semantics
-        )
-
-    def knnta(
-        self,
-        q: KNNTAQuery | Sequence[float],
-        interval: TimeInterval | None = None,
-        k: int = 10,
-        alpha0: float = 0.3,
-        semantics: IntervalSemantics = IntervalSemantics.INTERSECTS,
-        normalizer: Normalizer | None = None,
-    ) -> RankedAnswer:
-        """Deprecated shim over :meth:`query`; always warns.
-
-        Accepts either a ready :class:`~repro.core.query.KNNTAQuery` or
-        the legacy ``(q, interval, k, alpha0)`` kwargs shape; both emit
-        a :class:`DeprecationWarning`.  Answers are identical to
-        :meth:`query`.
-        """
-        return self.query(
-            self._coerce_query("knnta", q, interval, k, alpha0, semantics),
-            normalizer=normalizer,
-        )
-
-    def robust_knnta(
-        self,
-        q: KNNTAQuery | Sequence[float],
-        interval: TimeInterval | None = None,
-        k: int = 10,
-        alpha0: float = 0.3,
-        semantics: IntervalSemantics = IntervalSemantics.INTERSECTS,
-        **options: Any,
-    ) -> RobustAnswer:
-        """Deprecated shim over :meth:`robust_query`; always warns.
-
-        Accepts either a ready :class:`~repro.core.query.KNNTAQuery` or
-        the legacy kwargs shape (both emit a
-        :class:`DeprecationWarning`); returns the same
-        :class:`~repro.reliability.recovery.RobustAnswer`.
-        """
-        return self.robust_query(
-            self._coerce_query("robust_knnta", q, interval, k, alpha0, semantics),
-            **options,
-        )
 
     def entry_score(
         self, entry: Entry, query: KNNTAQuery, normalizer: Normalizer

@@ -53,6 +53,9 @@ LOCKED_MUTATORS = frozenset(
 )
 #: Query entry points that require at least the shared side.
 LOCKED_READS = frozenset({"knnta_search", "sequential_scan"})
+#: Tree query methods that require it when called on a ``tree``
+#: attribute (``self.tree.query(...)``, ``shard.tree.query_batch(...)``).
+TREE_READS = frozenset({"query", "query_batch"})
 #: Tree mutations that must ride the WAL inside the service layer.
 WAL_MUTATORS = frozenset({"insert_poi", "delete_poi", "digest_epoch"})
 #: Shard-tree operations that cross a fault-domain boundary in the
@@ -65,6 +68,7 @@ SHARD_DISPATCH_METHODS = frozenset(
         "bulk_load",
         "global_epoch_max",
         "max_aggregate_bound",
+        "query_batch",
     }
 )
 
@@ -295,8 +299,9 @@ class LockDisciplineRule(ProgramRule):
     (``replace_all``) reshape the structure the best-first search is
     concurrently descending; they must be lexically dominated by
     ``write_locked()``.  Query entry points (``knnta_search``,
-    ``sequential_scan``, ``CollectiveProcessor(...).run``) need at
-    least ``read_locked()``.  A call inside a helper passes when every
+    ``sequential_scan``, ``CollectiveProcessor(...).run``, and
+    ``query``/``query_batch`` on a ``tree`` attribute) need at least
+    ``read_locked()``.  A call inside a helper passes when every
     resolvable call site of that helper (transitively, across modules
     — the shared whole-program pass) holds the required lock.
     """
@@ -363,12 +368,19 @@ class LockDisciplineRule(ProgramRule):
 
     @staticmethod
     def _is_read_entry(call: ast.Call, name: str) -> bool:
-        if name in LOCKED_READS and isinstance(call.func, ast.Name):
-            return True
-        if name == "run" and isinstance(call.func, ast.Attribute):
+        func = call.func
+        if isinstance(func, ast.Name):
+            return name in LOCKED_READS
+        if not isinstance(func, ast.Attribute):
+            return False
+        if name in TREE_READS:
+            # ``self.tree`` / ``shard.tree``; a local ``tree`` name (the
+            # subscription registry's) stays out of scope.
+            return isinstance(func.value, ast.Attribute) and func.value.attr == "tree"
+        if name == "run":
             return any(
                 isinstance(node, ast.Name) and node.id == "CollectiveProcessor"
-                for node in ast.walk(call.func.value)
+                for node in ast.walk(func.value)
             )
         return False
 
@@ -667,7 +679,7 @@ class WarnStacklevelRule(Rule):
     """RT006: ``warnings.warn`` must pass ``stacklevel``.
 
     The deprecation shims promise that warnings point at the *caller's*
-    file (``tests/test_public_api.py`` pins this); a ``warnings.warn``
+    file (``tests/reliability/test_recovery.py`` pins this); a ``warnings.warn``
     without ``stacklevel`` blames the shim itself, which hides every
     call site the warning exists to surface.
     """
@@ -713,8 +725,8 @@ class GuardedShardDispatchRule(ProgramRule):
     endpoint's dispatch method (``ENDPOINT_DISPATCH_METHODS`` on
     anything but ``self``, in the cluster layer) — the coordinator's
     only way to reach a shard on either transport — and a shard-tree
-    operation (routed mutations, bulk loads and bound refreshes on a
-    ``.tree``, ``knnta_search``/``sequential_scan``,
+    operation (routed mutations, bulk loads, bound refreshes and
+    ``query_batch`` on a ``.tree``, ``knnta_search``/``sequential_scan``,
     ``CollectiveProcessor(...).run``).  A dispatch in a helper passes
     when the helper itself is a guard thunk or every resolvable call
     chain into it (across modules — the shared whole-program pass)

@@ -145,7 +145,6 @@ class RobustAnswer:
     exact = True
     coverage = 1.0
     score_bound = None
-    degraded = False
     missed_shards = ()
 
     @property

@@ -83,10 +83,14 @@ class ValidationReport:
         return sorted({violation.code for violation in self.violations})
 
     def extend(self, other):
-        """Merge another report's findings and coverage into this one."""
+        """Merge another pass over the same tree into this report.
+
+        Violations add up; coverage is the larger of the two, because
+        both passes checked the same nodes and POIs.
+        """
         self.violations.extend(other.violations)
-        self.checked_nodes += other.checked_nodes
-        self.checked_pois += other.checked_pois
+        self.checked_nodes = max(self.checked_nodes, other.checked_nodes)
+        self.checked_pois = max(self.checked_pois, other.checked_pois)
         return self
 
     def summary(self, limit=10):

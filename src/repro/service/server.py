@@ -7,8 +7,8 @@ the op's payload or ``{"error": ..., "code": ...}``.  Supported ops:
 ``ping``
     ``{"op": "ping"}`` → ``{"ok": true, "pong": true}``
 ``hello``
-    ``{"op": "hello", "proto": 1}`` → ``{"ok": true, "hello": ...,
-    "proto": 1}``.  Every response frame carries ``"proto"`` (the
+    ``{"op": "hello", "proto": 2}`` → ``{"ok": true, "hello": ...,
+    "proto": 2}``.  Every response frame carries ``"proto"`` (the
     server's wire-protocol version); any request may carry one, and a
     mismatch is refused with the stable ``proto-mismatch`` error code
     instead of whatever shape drift would otherwise break first.
@@ -90,7 +90,8 @@ from repro.temporal.tia import IntervalSemantics
 #: (and on worker hello frames, see ``repro.cluster.workers``); a peer
 #: announcing a different version is refused with the stable
 #: ``proto-mismatch`` code rather than failing on some drifted field.
-PROTO_VERSION = 1
+#: Version 2: worker ``query``/``batch`` replies carry ``stats``.
+PROTO_VERSION = 2
 
 
 def proto_mismatch_response(announced):

@@ -5,16 +5,15 @@
 :class:`~repro.reliability.recovery.CheckpointedIngest` for WAL-backed
 durability) behind three coordinated mechanisms:
 
-* **Collective micro-batching** — callers enqueue queries into a
-  bounded request queue; worker threads drain it and coalesce requests
-  sharing a time interval (the Section 7.2 grouping; any interval on a
-  worker cluster, see below) into one
-  :class:`~repro.core.collective.CollectiveProcessor` batch, bounded by
-  ``batch_size`` and a ``linger`` deadline.  A batch of one falls back
-  to the plain :func:`~repro.core.knnta.knnta_search`.  Concurrent
-  requests over the same interval preset therefore share node fetches
-  and per-interval aggregates exactly as the paper's collective scheme
-  promises — the batch's access cost is attributed once, to every rider.
+* **Micro-batching** — callers enqueue queries into a bounded request
+  queue; worker threads drain it and coalesce requests sharing a time
+  interval (any interval on a worker cluster, see below) into one
+  batch, bounded by ``batch_size`` and a ``linger`` deadline.  A batch
+  runs as one ``tree.query_batch`` call under one read-lock hold (a
+  batch of one as one ``tree.query``): each rider runs its own
+  best-first search, and the batch amortizes the lock and the
+  normaliser.  Its access cost is the sum of its riders', recorded once
+  and attributed to every rider.
 * **Read/write coordination** — queries run under the shared side of a
   write-preferring :class:`~repro.service.locks.ReadWriteLock`;
   ``insert``/``delete``/``digest`` take the exclusive side and are
@@ -39,18 +38,21 @@ worker.  :meth:`stats` snapshots the ops surface
 
 The service also wraps a :class:`~repro.cluster.coordinator.ClusterTree`
 unchanged (detected by its ``is_cluster`` marker — the cluster package
-imports this one, so the dependency must not point back): queries run
-the coordinator's scatter-gather (batches fan out per shard through
-each shard's own collective processor), mutations route through the
-owning shard's WAL inside the coordinator, and scrubbing round-robins
-over the shards.  No service-level ingest may be attached in that mode.
+imports this one, so the dependency must not point back): queries make
+the same two calls, which run the coordinator's scatter-gather (a batch
+visits every non-empty shard, one ``query_batch`` per shard),
+mutations route through the owning shard's WAL inside the coordinator,
+and scrubbing round-robins over the shards.  No service-level ingest
+may be attached in that mode.
 A tree whose ``coalesce_any_interval`` marker is true — a worker
 cluster, :class:`~repro.cluster.remote.RemoteClusterTree` — gets
 batches of the oldest queued requests whatever their interval: there a
 query costs a socket frame per worker, and a batch costs one frame per
 worker for all its riders.  Single trees and in-process clusters keep
-one interval per batch (``docs/SERVICE.md``, "Micro-batching
-semantics", has the measurements behind both).
+one interval per batch, because an in-process cluster batch visits
+every shard where a single query prunes shards by bound
+(``docs/SERVICE.md``, "Micro-batching semantics", has the
+measurements behind both and behind the per-rider batch).
 """
 
 import threading
@@ -58,8 +60,10 @@ import time
 from collections import deque
 
 from repro.continuous import SubscriptionRegistry
-from repro.core.collective import CollectiveProcessor
-from repro.core.knnta import knnta_search
+
+# Unused here since queries go through tree.query/query_batch; kept
+# because the benchmark tracer (perfbench/spans.py) wraps this name.
+from repro.core.knnta import knnta_search  # noqa: F401
 from repro.devtools.lockmodel import SERVICE_RW
 from repro.service.locks import ReadWriteLock
 from repro.service.scrubber import HealthEvent, Scrubber
@@ -170,8 +174,9 @@ class PendingResult:
     """A submitted query's future: wait on :meth:`result`.
 
     After completion, ``batch_size`` tells how many requests shared the
-    executing batch and ``cost`` is that batch's (shared)
-    :class:`~repro.storage.stats.AccessStats` delta.
+    executing batch and ``cost`` is that batch's
+    :class:`~repro.storage.stats.AccessStats` delta: the sum of its
+    riders' node accesses, each rider having run its own search.
     """
 
     __slots__ = (
@@ -223,28 +228,6 @@ class PendingResult:
         self._error = error
         self.latency = time.monotonic() - self.enqueued_at
         self._event.set()
-
-
-class _StatsView:
-    """Duck-typed tree view routing node-access accounting to one batch.
-
-    Single-query batches run :func:`knnta_search` over this view so
-    their node accesses land in the batch's private stats, exactly as
-    :meth:`CollectiveProcessor.run` does for real batches; everything
-    else resolves on the wrapped tree.
-    """
-
-    __slots__ = ("_tree", "stats")
-
-    def __init__(self, tree, stats):
-        self._tree = tree
-        self.stats = stats
-
-    def __getattr__(self, name):
-        return getattr(self._tree, name)
-
-    def record_node_access(self, node):
-        self.stats.record_node(node.is_leaf)
 
 
 class QueryService:
@@ -695,19 +678,15 @@ class QueryService:
         stats = AccessStats()
         queries = [request.query for request in batch]
         try:
+            # A cluster holds its shard read locks itself; there this
+            # hold only orders against service-level writers.  A single
+            # query stays a query: on a cluster it prunes shards by
+            # bound, which a batch cannot.
             with self.lock.read_locked():
-                if self._cluster:
-                    # The coordinator holds shard read locks itself; this
-                    # service-level read hold only orders against
-                    # service-level writers.
-                    if len(batch) == 1:
-                        results = [self.tree.query(queries[0], stats=stats)]
-                    else:
-                        results = self.tree.query_batch(queries, stats=stats)
-                elif len(batch) == 1:
-                    results = [knnta_search(_StatsView(self.tree, stats), queries[0])]
+                if len(batch) == 1:
+                    results = [self.tree.query(queries[0], stats=stats)]
                 else:
-                    results = CollectiveProcessor(self.tree).run(queries, stats=stats)
+                    results = self.tree.query_batch(queries, stats=stats)
         except Exception as exc:  # surface the failure to every rider
             for request in batch:
                 request._fail(exc)

@@ -246,18 +246,20 @@ class TestDottedKeysOnWorkers:
         TestQueries.test_explain_emits_only_canonical_dotted_keys
     )
 
-    def test_explain_reports_the_in_process_coordinator_keys(self, keyed, cluster):
-        # The same coordinator-level keys as in process; the per-shard
-        # and merged access counters a worker never sends are absent.
+    def test_explain_reports_the_in_process_coordinator_keys(
+        self, keyed, small_dataset
+    ):
+        # Workers reply with their node accesses, so explain() reports
+        # the in-process keys, per-shard counters included, on the same
+        # 2-shard plan with both shards dispatched at once.
+        local = ClusterTree.build(small_dataset, num_shards=2, parallelism=2)
+        try:
+            _, in_process = local.explain(trailing_query(local))
+        finally:
+            local.close()
         _, remote = keyed.explain(trailing_query(keyed))
-        _, local = cluster.explain(trailing_query(cluster))
-        coordinator_keys = {
-            key
-            for key in local
-            if key == "shards"
-            or (key.startswith("shards.") and not key.split(".")[1].isdigit())
-        }
-        assert set(remote) == coordinator_keys
+        assert set(remote) == set(in_process)
+        assert remote["rtree_nodes"] == in_process["rtree_nodes"] > 0
 
 
 def test_parallel_queries_share_one_executor(
@@ -398,3 +400,24 @@ class TestMaintenanceSurface:
     def test_repr_and_iteration(self, cluster):
         assert "4 shards" in repr(cluster)
         assert [shard.index for shard in cluster] == [0, 1, 2, 3]
+
+
+def test_batch_skips_an_emptied_shard(transport, small_dataset, tmp_path):
+    # A shard whose descriptor holds no POI is never sent the batch, so
+    # both transports count the same shards as visited.
+    single = TARTree.build(small_dataset)
+    with open_on(transport, small_dataset, tmp_path / "c", num_shards=3) as cluster:
+        for poi_id in small_dataset.effective_poi_ids():
+            point = small_dataset.positions[poi_id]
+            index = cluster.plan.route(point)
+            if (cluster.plan.nearest(point) if index is None else index) == 1:
+                assert cluster.delete_poi(poi_id)
+                assert single.delete_poi(poi_id)
+        assert cluster.shards[1].descriptor.pois == 0
+        queries = [
+            trailing_query(cluster, k=k, alpha0=alpha0)
+            for k, alpha0 in ((3, 0.1), (10, 0.5), (5, 0.9))
+        ]
+        before = cluster.counters()["shards.visited"]
+        assert cluster.query_batch(queries) == [single.query(q) for q in queries]
+        assert cluster.counters()["shards.visited"] - before == 2 * len(queries)

@@ -140,6 +140,29 @@ class TestWorkerProtocol:
         # which side is stale.
         assert str(PROTO_VERSION + 1) in response["error"]
 
+    def test_proto_one_query_is_refused(self, worker_server):
+        # Version 2 added reply stats; a version-1 coordinator, which
+        # would not read them, is refused before the query runs.
+        response = worker_server.handle_request(
+            json.dumps({"op": "query", "point": [0.5, 0.5], "interval": [0, 9],
+                        "normalizer": [1.0, 1.0], "proto": 1})
+        )
+        assert response["code"] == "proto-mismatch"
+
+    def test_batch_riders_of_one_interval_share_a_normalizer(self, worker_server):
+        rider = {"point": [0.5, 0.5], "interval": [0, 9],
+                 "normalizer": [1.0, 1.0]}
+        response = worker_server.handle_request(json.dumps({
+            "op": "batch",
+            "queries": [rider, dict(rider, normalizer=[1.0, 2.0])],
+        }))
+        assert response["code"] == "bad-request"
+        response = worker_server.handle_request(
+            json.dumps({"op": "batch", "queries": [rider, rider]})
+        )
+        assert response["ok"]
+        assert len(response["stats"]) == 4
+
     def test_client_refuses_a_server_speaking_another_proto(self):
         class FutureHandler(socketserver.StreamRequestHandler):
             def handle(self):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro import POI, TARTree, TimeInterval
-from repro.core.collective import CollectiveProcessor, process_individually
+from repro.core.collective import CollectiveProcessor
 from repro.core.knnta import knnta_search
 from repro.core.query import KNNTAQuery
 from repro.spatial.geometry import Rect
@@ -100,7 +100,7 @@ class TestSharing:
         CollectiveProcessor(tree).run(queries)
         collective_nodes = tree.stats.diff(snap).rtree_nodes
         snap = tree.stats.snapshot()
-        process_individually(tree, queries)
+        tree.query_batch(queries)
         individual_nodes = tree.stats.diff(snap).rtree_nodes
         assert collective_nodes < individual_nodes
 
@@ -149,7 +149,7 @@ class TestProcessIndividually:
     def test_matches_knnta_search(self):
         tree = build_tree(seed=19)
         queries = make_queries(10, seed=20)
-        got = process_individually(tree, queries)
+        got = tree.query_batch(queries)
         expected = [knnta_search(tree, q) for q in queries]
         for a, b in zip(got, expected):
             assert scores(a) == scores(b)
@@ -161,7 +161,7 @@ class TestProcessIndividually:
             tree = build_tree(seed=22, tia_backend="paged", tia_buffer_slots=slots)
             tree.frames.disable()  # measuring object-path TIA buffering
             snap = tree.stats.snapshot()
-            process_individually(tree, queries)
+            tree.query_batch(queries)
             return tree.stats.diff(snap).tia_pages
 
         assert pages(0) >= pages(10)

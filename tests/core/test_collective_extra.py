@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro import POI, TARTree, TimeInterval
-from repro.core.collective import CollectiveProcessor, process_individually
+from repro.core.collective import CollectiveProcessor
 from repro.core.knnta import knnta_search
 from repro.core.query import KNNTAQuery
 from repro.spatial.geometry import Rect
@@ -100,7 +100,7 @@ class TestBatchShapes:
         collective = CollectiveProcessor(tree).run(queries)
         shared_pages = tree.stats.diff(snap).tia_pages
         snap = tree.stats.snapshot()
-        individual = process_individually(tree, queries)
+        individual = tree.query_batch(queries)
         individual_pages = tree.stats.diff(snap).tia_pages
         for got, expected in zip(collective, individual):
             assert scores(got) == scores(expected)

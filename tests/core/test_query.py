@@ -96,7 +96,6 @@ class TestAnswerProtocol:
         assert answer.exact is True
         assert answer.coverage == 1.0
         assert answer.score_bound is None
-        assert answer.degraded is False
         assert answer.missed_shards == ()
         assert isinstance(answer, Answer)
 

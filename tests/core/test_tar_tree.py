@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import KNNTAQuery, POI, TARTree, TimeInterval
+from repro import AccessStats, KNNTAQuery, POI, TARTree, TimeInterval
+from repro.core.query import Normalizer
 from repro.spatial.geometry import Rect
 from repro.temporal.epochs import EpochClock
 
@@ -263,6 +264,64 @@ class TestRefresh:
         tree.refresh_aggregate_dimension()
         assert tree.aggregate_coordinate("a") == pytest.approx(0.0)
         tree.check_invariants()
+
+
+class TestQuerySurface:
+    @pytest.fixture(scope="class")
+    def tree(self):
+        tree = make_tree(capacity_node_size=512)
+        for poi, history in random_pois(300, seed=11):
+            tree.insert_poi(poi, history)
+        return tree
+
+    @staticmethod
+    def batch(same_interval, n=12, seed=12):
+        rng = random.Random(seed)
+        intervals = [TimeInterval(0, 10)] if same_interval else [
+            TimeInterval(0, 10), TimeInterval(2, 6), TimeInterval(5, 9)
+        ]
+        return [
+            KNNTAQuery(
+                (rng.random() * 100, rng.random() * 100),
+                intervals[i % len(intervals)],
+                k=1 + i % 7,
+                alpha0=rng.choice((0.1, 0.3, 0.7)),
+            )
+            for i in range(n)
+        ]
+
+    def test_query_records_into_the_given_stats_only(self, tree):
+        query = self.batch(True, n=1)[0]
+        before = tree.stats.snapshot()
+        stats = AccessStats()
+        answer = tree.query(query, stats=stats)
+        assert tree.stats.snapshot() == before
+        assert stats.rtree_nodes > 0
+        assert answer == tree.query(query)
+        assert tree.stats.diff(before).rtree_nodes == stats.rtree_nodes
+
+    @pytest.mark.parametrize("same_interval", [True, False])
+    def test_batch_is_each_rider_alone(self, tree, same_interval):
+        queries = self.batch(same_interval)
+        singles = []
+        single_nodes = 0
+        for query in queries:
+            stats = AccessStats()
+            singles.append(tree.query(query, stats=stats))
+            single_nodes += stats.rtree_nodes
+        stats = AccessStats()
+        answers = tree.query_batch(queries, stats=stats)
+        # ids, scores and tie order: the rows compare whole.
+        assert answers == singles
+        assert stats.rtree_nodes == single_nodes
+
+    def test_batch_uses_the_given_normalizers(self, tree):
+        queries = self.batch(False)
+        pushed = {
+            (q.interval, q.semantics): Normalizer(100.0, 50.0) for q in queries
+        }
+        answers = tree.query_batch(queries, normalizers=pushed)
+        assert answers == [tree.query(q, Normalizer(100.0, 50.0)) for q in queries]
 
 
 @settings(max_examples=15, deadline=None)

@@ -74,6 +74,59 @@ class TestLockDiscipline:
         )
         assert rule_ids_of(findings) == ["RT001"]
 
+    def test_unlocked_tree_query_fires(self, lint_source):
+        findings = lint_source(
+            "repro/service/mod.py",
+            """
+            def run(self, query):
+                return self.tree.query(query)
+            """,
+        )
+        assert rule_ids_of(findings) == ["RT001"]
+
+    def test_unlocked_shard_tree_batch_fires(self, lint_source):
+        findings = lint_source(
+            "repro/cluster/mod.py",
+            """
+            def batch(shard, queries):
+                return shard.tree.query_batch(queries)
+            """,
+        )
+        assert rule_ids_of(findings) == ["RT001", "RT007"]
+
+    def test_tree_queries_under_read_lock_are_clean(self, lint_source):
+        service = lint_source(
+            "repro/service/mod.py",
+            """
+            def run(self, query):
+                with self.lock.read_locked():
+                    return self.tree.query(query)
+            """,
+        )
+        cluster = lint_source(
+            "repro/cluster/mod.py",
+            """
+            def route(self, shard, guard, queries):
+                def batch(token):
+                    with shard.lock.read_locked():
+                        return shard.tree.query_batch(queries)
+
+                return guard.call("query", batch)
+            """,
+        )
+        assert service == cluster == []
+
+    def test_query_on_a_local_tree_name_is_out_of_scope(self, lint_source):
+        findings = lint_source(
+            "repro/continuous/mod.py",
+            """
+            def evaluate(self, query):
+                tree = self.tree
+                return tree.query(query)
+            """,
+        )
+        assert findings == []
+
     def test_helper_dominated_at_every_call_site_is_clean(self, lint_source):
         findings = lint_source(
             "repro/service/mod.py",

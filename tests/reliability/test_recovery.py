@@ -398,6 +398,21 @@ class TestDeprecatedDigestLogShims:
         assert dropped == 0
         assert records == [[0, 3, [["a", 2, 2]]], [1, 4, [["b", 5, 5]]]]
 
+    def test_warnings_point_at_the_caller(self, tmp_path):
+        # RT006's promise: a deprecation warning names the caller's
+        # file, not the shim's.
+        path = str(tmp_path / "x.digestlog")
+        with pytest.warns(DeprecationWarning) as captured:
+            with DigestLog(path):
+                pass
+            read_digest_log(path)
+        origins = [
+            warning.filename
+            for warning in captured
+            if issubclass(warning.category, DeprecationWarning)
+        ]
+        assert origins == [__file__, __file__]
+
     def test_read_digest_log_ignores_non_digest_records(self, tmp_path):
         path = str(tmp_path / "x.wal")
         with MutationWAL(path) as log:

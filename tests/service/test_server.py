@@ -328,6 +328,11 @@ class TestProtoNegotiation:
         # The connection survives the refusal; a corrected peer serves.
         assert client.rpc({"op": "ping", "proto": PROTO_VERSION})["ok"]
 
+    def test_proto_one_peer_is_refused(self, client):
+        # Version 2 added worker reply stats; a version-1 peer is refused.
+        response = client.rpc({"op": "ping", "proto": 1})
+        assert response["code"] == "proto-mismatch"
+
     def test_unversioned_requests_still_serve(self, client):
         # Pre-versioning peers send no ``proto`` field: they are assumed
         # current rather than refused, so rolling upgrades can proceed.

@@ -110,8 +110,8 @@ class TestQueryPath:
             assert pending.cost.rtree_nodes > 0
 
     def test_batched_cost_below_individual_cost(self, small_tree):
-        # The collective batch shares node fetches, so its total access
-        # count must undercut the same queries run one by one.
+        # Each rider of a batch runs its own search, so the batch's
+        # total access count equals the same queries run one by one.
         queries = [make_query(x=float(i), y=float(i % 4)) for i in range(8)]
         snapshot = small_tree.stats.snapshot()
         for q in queries:
@@ -125,7 +125,7 @@ class TestQueryPath:
             p.result(timeout=30)
         assert pending[0].batch_size == 8
         batched = service.service_stats.access_totals.rtree_nodes
-        assert batched < individual
+        assert batched == individual
         service.close()
 
     def test_invalid_query_rejected_at_submit(self, small_tree):
@@ -170,6 +170,9 @@ class TestWorkerClusterBatching:
             service.close()
             shards = len(cluster.shards)
         assert [p.batch_size for p in pending] == [len(queries)] * len(queries)
+        # Workers reply with their node accesses.
+        assert service.service_stats.access_totals.rtree_nodes > 0
+        assert pending[0].cost.rtree_nodes > 0
         searches = sorted(frame for frame in frames if frame[1] in ("query", "batch"))
         assert searches == [(index, "batch") for index in range(shards)]
         for query, answer in zip(queries, answers):
@@ -287,18 +290,16 @@ class TestWorkerCrash:
     def test_batch_failure_does_not_kill_the_worker(self, small_tree, monkeypatch):
         # A query that blows up inside execution fails only its own
         # riders; the worker survives to serve the next request.
-        import repro.service.service as service_module
-
-        real = service_module.knnta_search
+        real = small_tree.query
         calls = {"count": 0}
 
-        def flaky(tree, query):
+        def flaky(query, **options):
             calls["count"] += 1
             if calls["count"] == 1:
                 raise RuntimeError("query blew up")
-            return real(tree, query)
+            return real(query, **options)
 
-        monkeypatch.setattr(service_module, "knnta_search", flaky)
+        monkeypatch.setattr(small_tree, "query", flaky)
         config = ServiceConfig(workers=1, linger=0.0)
         with QueryService(small_tree, config=config) as service:
             with pytest.raises(RuntimeError, match="query blew up"):

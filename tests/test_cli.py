@@ -308,6 +308,16 @@ class TestVerify:
         assert code == 0
         assert "no violations" in output
 
+    def test_dataset_check_counts_each_poi_once(self, tree_file, dataset_file):
+        from repro.storage.serialize import load_tree
+
+        pois = len(load_tree(str(tree_file)))
+        code, output = run_cli(
+            ["verify", str(tree_file), "--dataset", str(dataset_file)]
+        )
+        assert code == 0
+        assert "%d POIs checked" % pois in output
+
     def test_mismatched_dataset_exits_one(self, tree_file, tmp_path):
         other = tmp_path / "other.npz"
         code, _ = run_cli(
@@ -675,6 +685,30 @@ class TestShardWorkers:
         assert "rolled back" in error
         # The distinct messages keep the two refusals tellable apart.
         assert "refusing to start over durable mutations" not in error
+
+    def test_unreadable_shard_exits_two_and_leaves_no_worker(
+        self, cluster_dir, tmp_path
+    ):
+        import multiprocessing
+        import shutil
+
+        directory = tmp_path / "cluster"
+        shutil.copytree(cluster_dir, directory)
+        torn = directory / "shard-1" / "tree.json"
+        torn.write_text('{"version": 3, "sections": ')
+        before = {process.pid for process in multiprocessing.active_children()}
+        code, output, error = run_cli_err(
+            ["serve", str(directory), "--cluster", "--shard-workers"]
+        )
+        assert code == 2
+        assert output == ""
+        assert error.count("\n") == 1
+        assert str(directory / "shard-1") in error
+        assert [
+            process
+            for process in multiprocessing.active_children()
+            if process.pid not in before
+        ] == []
 
     @pytest.mark.timeout(300)
     def test_serves_worker_cluster_queries_over_tcp(

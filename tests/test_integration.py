@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro import POI, TARTree, TimeInterval, datasets
-from repro.core.collective import CollectiveProcessor, process_individually
+from repro.core.collective import CollectiveProcessor
 from repro.core.knnta import knnta_search
 from repro.core.mwa import minimum_weight_adjustment
 from repro.core.query import KNNTAQuery
@@ -92,7 +92,7 @@ def test_lifecycle(scenario):
     # --- a collective burst matches individual processing -------------
     burst = list(generate_queries(data, n_queries=40, seed=3))
     collective = CollectiveProcessor(tree).run(burst)
-    individual = process_individually(tree, burst)
+    individual = tree.query_batch(burst)
     for a, b in zip(collective, individual):
         assert scores(a) == scores(b)
 

@@ -80,12 +80,19 @@ def test_all_matches_module_contents():
 
 
 def test_query_entry_point_signatures():
-    # Every query entry point takes one KNNTAQuery value; the kwargs
-    # spread lives only on the deprecated shims.
+    # Every query entry point takes one KNNTAQuery value (a batch, a
+    # sequence of them); the tree's two take per-call access stats.
     assert list(inspect.signature(repro.TARTree.query).parameters) == [
         "self",
         "query",
         "normalizer",
+        "stats",
+    ]
+    assert list(inspect.signature(repro.TARTree.query_batch).parameters) == [
+        "self",
+        "queries",
+        "normalizers",
+        "stats",
     ]
     robust = inspect.signature(repro.TARTree.robust_query)
     assert list(robust.parameters)[:2] == ["self", "query"]
@@ -249,67 +256,6 @@ def test_every_public_callable_has_a_docstring():
             continue
         obj = getattr(repro, name)
         assert getattr(obj, "__doc__", None), "%s lacks a docstring" % name
-
-
-class TestDeprecatedQueryShims:
-    def make_query(self, tree):
-        end = tree.current_time
-        return repro.KNNTAQuery((0.4, 0.6), repro.TimeInterval(end - 28, end), k=5)
-
-    def test_knnta_kwargs_shape_warns_and_answers_identically(self, tar_tree):
-        query = self.make_query(tar_tree)
-        expected = tar_tree.query(query)
-        with pytest.warns(DeprecationWarning):
-            legacy = tar_tree.knnta(
-                query.point, query.interval, k=query.k, alpha0=query.alpha0
-            )
-        assert legacy == expected
-
-    def test_knnta_warns_even_for_query_objects(self, tar_tree):
-        # The facade is deprecated as a *name*, not just for its legacy
-        # kwargs shape — a ready KNNTAQuery warns too (and still points
-        # at TARTree.query as the replacement).
-        query = self.make_query(tar_tree)
-        with pytest.warns(DeprecationWarning, match="TARTree.query"):
-            legacy = tar_tree.knnta(query)
-        assert legacy == tar_tree.query(query)
-
-    def test_robust_knnta_warns_even_for_query_objects(self, tar_tree):
-        query = self.make_query(tar_tree)
-        with pytest.warns(DeprecationWarning, match="robust_query"):
-            legacy = tar_tree.robust_knnta(query)
-        assert list(legacy) == list(tar_tree.robust_query(query))
-
-    def test_robust_knnta_kwargs_shape_warns_and_answers_identically(
-        self, tar_tree
-    ):
-        query = self.make_query(tar_tree)
-        expected = tar_tree.robust_query(query)
-        with pytest.warns(DeprecationWarning):
-            legacy = tar_tree.robust_knnta(
-                query.point, query.interval, k=query.k, alpha0=query.alpha0
-            )
-        assert list(legacy) == list(expected)
-        assert legacy[0] == expected[0]
-
-    def test_kwargs_shape_without_interval_rejected(self, tar_tree):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                tar_tree.knnta((0.4, 0.6))
-
-    def test_knnta_warning_points_at_the_caller(self, tar_tree):
-        # stacklevel must walk out of _coerce_query AND the shim, so the
-        # warning names this test file — not tar_tree.py — as its origin.
-        query = self.make_query(tar_tree)
-        with pytest.warns(DeprecationWarning) as captured:
-            tar_tree.knnta(query.point, query.interval, k=query.k)
-        assert captured[0].filename == __file__
-
-    def test_robust_knnta_warning_points_at_the_caller(self, tar_tree):
-        query = self.make_query(tar_tree)
-        with pytest.warns(DeprecationWarning) as captured:
-            tar_tree.robust_knnta(query.point, query.interval, k=query.k)
-        assert captured[0].filename == __file__
 
 
 class TestInputHardening:
