@@ -34,7 +34,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from _harness import print_series
+from _harness import host, print_series
 from repro import ClusterTree, TARTree, datasets
 from repro.cluster import RemoteClusterTree, save_cluster
 from repro.datasets.workload import generate_queries
@@ -203,7 +203,7 @@ def test_worker_processes_beat_inprocess_under_concurrent_load(tmp_path):
                 "dataset": DATASET,
                 "scale": SCALE,
                 "smoke": SMOKE,
-                "cpu_count": os.cpu_count(),
+                "host": host(),
                 "speedup_bar_enforced": MIN_SPEEDUP > 0.0,
                 "n_queries": len(queries),
                 "concurrency": CONCURRENCY,

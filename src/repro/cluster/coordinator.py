@@ -27,7 +27,13 @@ equals the single-tree answer, score for score):
    distance, the shard's root aggregate bound over-estimates every
    aggregate), so once the running k-th result's score is at or below
    a shard's bound, that shard cannot contribute and is skipped —
-   the threshold-style early termination of the scatter-gather.
+   the threshold-style early termination of the scatter-gather.  A
+   shard that is visited gets the running k-th score as its search's
+   inclusive ``cutoff``: a row scoring above it cannot enter the
+   top-k, so the shard search stops where nothing at or below it is
+   left, and returns exactly its uncut answer's rows up to the cutoff
+   (rows scoring exactly the cutoff still come back: ties break on
+   shard index in the merge).
 
 Mutations route to the owning shard by the plan.  An in-process shard
 with a :class:`~repro.reliability.recovery.CheckpointedIngest` logs the
@@ -151,9 +157,10 @@ class ShardEndpoint(Protocol):
     so a call abandoned at its deadline never applies late.  The
     mutations and ``describe`` keep ``descriptor`` (the pruning-bound
     state) in step with the shard.  ``query``/``batch`` return the
-    call's node accesses beside the rows; ``reopen`` recovers a fresh
-    endpoint that ``adopt`` cuts over to unless :func:`check_cutover`
-    refuses.
+    call's node accesses beside the rows, and ``query`` drops every row
+    scoring above its inclusive ``cutoff`` (``TARTree.query``);
+    ``reopen`` recovers a fresh endpoint that ``adopt`` cuts over to
+    unless :func:`check_cutover` refuses.
     """
 
     index: int
@@ -168,7 +175,11 @@ class ShardEndpoint(Protocol):
     def identity(self) -> tuple[Rect, EpochClock, AggregateKind]: ...
 
     def query(
-        self, token: CallToken, query: KNNTAQuery, normalizer: Normalizer
+        self,
+        token: CallToken,
+        query: KNNTAQuery,
+        normalizer: Normalizer,
+        cutoff: float,
     ) -> tuple[list[QueryResult], AccessStats]: ...
     def batch(
         self, token: CallToken, queries: Sequence[KNNTAQuery], normalizers: Normalizers
@@ -230,12 +241,16 @@ class Shard:
     # -- reads -------------------------------------------------------------
 
     def query(
-        self, token: CallToken, query: KNNTAQuery, normalizer: Normalizer
+        self,
+        token: CallToken,
+        query: KNNTAQuery,
+        normalizer: Normalizer,
+        cutoff: float,
     ) -> tuple[list[QueryResult], AccessStats]:
         stats = AccessStats()
         with self.lock.read_locked():
             token.check()
-            results = self.tree.query(query, normalizer, stats)
+            results = self.tree.query(query, normalizer, stats, cutoff)
         return results, stats
 
     def batch(
@@ -917,7 +932,7 @@ class ClusterTree(Generic[_Endpoint]):
                     for shard in self.shards
                     if self._descriptor(shard).mbr is not None
                 ],
-                lambda index: self._guards[index].call(
+                lambda index, _cutoff: self._guards[index].call(
                     "query",
                     lambda token: self.shards[index].batch(token, queries, normalizers),
                 ),
@@ -973,8 +988,10 @@ class ClusterTree(Generic[_Endpoint]):
 
         Rows are ``(score, shard index, within-shard rank, result)``,
         kept sorted — ties (probability zero on continuous data) break
-        toward the lower shard index, matching the batch merge.  Shards
-        that fail out of the dispatch go through :func:`_certify`.
+        toward the lower shard index, matching the batch merge.  Each
+        visited shard's search is cut at the running k-th score known
+        when it is dispatched (module docs, property 3).  Shards that
+        fail out of the dispatch go through :func:`_certify`.
         """
         query.validate()
         push = (
@@ -991,9 +1008,9 @@ class ClusterTree(Generic[_Endpoint]):
         per_shard: dict[int, AccessStats] = {}
         visited: list[int] = []
 
-        def pruned_by_kth(index: int) -> bool:
+        def cutoff(index: int) -> float | None:
             kth = rows[query.k - 1][0] if len(rows) >= query.k else math.inf
-            return bound_of[index] >= kth
+            return None if bound_of[index] >= kth else kth
 
         def absorb(
             index: int, answer: tuple[list[QueryResult], AccessStats]
@@ -1009,11 +1026,12 @@ class ClusterTree(Generic[_Endpoint]):
 
         failed, pruned = self._gather(
             sorted(bound_of, key=lambda index: (bound_of[index], index)),
-            lambda index: self._guards[index].call(
-                "query", lambda token: self.shards[index].query(token, query, push)
+            lambda index, kth: self._guards[index].call(
+                "query",
+                lambda token: self.shards[index].query(token, query, push, kth),
             ),
             absorb,
-            pruned_by_kth,
+            cutoff,
         )
         missed = {index: bound_of[index] for index in failed}
         top, blocking = _certify(rows, query.k, missed)
@@ -1028,16 +1046,19 @@ class ClusterTree(Generic[_Endpoint]):
     def _gather(
         self,
         order: Sequence[int],
-        call: Callable[[int], _T],
+        call: Callable[[int, float], _T],
         absorb: Callable[[int, _T], None],
-        prune: Callable[[int], bool] | None = None,
+        cutoff: Callable[[int], float | None] | None = None,
     ) -> tuple[list[int], int]:
-        """The one scatter loop: ``call(index)`` per shard in ``order``,
-        at most ``parallelism`` in flight (inline at 1, else on the
-        cluster executor), each outcome absorbed here as it lands.
-        Once ``prune`` holds for the next shard, it and the rest of the
-        (bound-sorted) order are skipped.  Returns ``(failed shards,
-        pruned count)``; a caller error propagates.
+        """The one scatter loop: ``call(index, cutoff)`` per shard in
+        ``order``, at most ``parallelism`` in flight (inline at 1, else
+        on the cluster executor), each outcome absorbed here as it
+        lands.  ``cutoff(index)`` runs here, on the dispatching thread
+        that absorbs, just before shard ``index`` is dispatched: it
+        returns the score the shard's search is cut at (``math.inf``
+        without it), or ``None`` once the shard is pruned — then it and
+        the rest of the (bound-sorted) order are skipped.  Returns
+        ``(failed shards, pruned count)``; a caller error propagates.
         """
         queue = deque(order)
         pending: dict[Future[_T], int] = {}
@@ -1058,14 +1079,15 @@ class ClusterTree(Generic[_Endpoint]):
             while queue or pending:
                 while queue and len(pending) < self.parallelism:
                     index = queue.popleft()
-                    if prune is not None and prune(index):
+                    limit = math.inf if cutoff is None else cutoff(index)
+                    if limit is None:
                         pruned = len(queue) + 1
                         queue.clear()
                         break
                     if self.parallelism == 1:
-                        settle(index, partial(call, index))
+                        settle(index, partial(call, index, limit))
                     else:
-                        pending[self._pool().submit(call, index)] = index
+                        pending[self._pool().submit(call, index, limit)] = index
                 if pending:
                     done, _ = wait(pending, return_when=FIRST_COMPLETED)
                     for future in done:

@@ -34,6 +34,7 @@ pair at a time under its own ``conn`` mutex.
 from __future__ import annotations
 
 import json
+import math
 import socket
 
 # Unused here since the scatter executor moved into the coordinator;
@@ -378,10 +379,19 @@ class RemoteShard:
     # -- reads ------------------------------------------------------------
 
     def query(
-        self, token: CallToken, query: KNNTAQuery, normalizer: Normalizer
+        self,
+        token: CallToken,
+        query: KNNTAQuery,
+        normalizer: Normalizer,
+        cutoff: float,
     ) -> tuple[list[QueryResult], AccessStats]:
         payload = _wire_query(query, normalizer)
         payload["op"] = "query"
+        if math.isfinite(cutoff):
+            # Sent only when finite (JSON has no infinity); a worker
+            # without it returns the uncut answer, a superset the merge
+            # already handles.
+            payload["cutoff"] = cutoff
         response = self._request(payload)
         return (
             [QueryResult(*row) for row in response["results"]],

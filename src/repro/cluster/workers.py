@@ -23,9 +23,11 @@ Worker ops (beyond the shared ``hello`` / ``shutdown`` frames):
     g_max]`` — a shard normalising against its own local maxima would
     break cross-shard score comparability, so the exact constants ride
     the wire (JSON floats round-trip exactly; answers stay
-    bit-identical).  The reply carries the call's node accesses as
-    ``stats``: the four raw :class:`~repro.storage.stats.AccessStats`
-    counters.
+    bit-identical).  A ``query`` frame may carry the coordinator's
+    running k-th score as an inclusive ``cutoff``; the search then
+    drops every row scoring above it.  The reply carries the call's
+    node accesses as ``stats``: the four raw
+    :class:`~repro.storage.stats.AccessStats` counters.
 ``insert`` / ``delete`` / ``digest``
     Routed mutations through the shard WAL under the write lock; every
     response returns the refreshed descriptor (root MBR, per-epoch
@@ -47,6 +49,7 @@ for any announce, so the shards recover side by side.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import socketserver
@@ -84,11 +87,12 @@ ANNOUNCE_NAME = "worker.json"
 #: service front end: internal text never crosses the wire).
 INTERNAL_ERROR_MESSAGE = "internal worker error; details logged worker-side"
 
-#: Exception shapes a malformed payload produces while being parsed.
-#: Only the *parse* stage maps these to ``bad-request`` — the same
-#: types raised by tree/WAL operations are internal worker bugs and
-#: take the redacted internal-error path instead.
-_PARSE_ERRORS = (ValueError, KeyError, IndexError, TypeError)
+#: Exception shapes a malformed payload produces while being parsed
+#: (``OverflowError``: a JSON integer too large for a float).  Only the
+#: *parse* stage maps these to ``bad-request`` — the same types raised
+#: by tree/WAL operations are internal worker bugs and take the
+#: redacted internal-error path instead.
+_PARSE_ERRORS = (ValueError, KeyError, IndexError, TypeError, OverflowError)
 
 _T = TypeVar("_T")
 
@@ -129,6 +133,19 @@ def _parse_normalizer(payload: dict[str, Any]) -> Normalizer:
     # constants must be used verbatim for bit-identical scores.
     d_max, g_max = payload["normalizer"]
     return Normalizer(float(d_max), float(g_max))
+
+
+def _parse_cutoff(payload: dict[str, Any]) -> float:
+    """A ``query`` frame's optional inclusive ``cutoff`` (absent: uncut).
+    A NaN would silently empty the answer (``score <= nan`` never
+    holds), so it is refused like any other non-number."""
+    cutoff = payload.get("cutoff", math.inf)
+    if isinstance(cutoff, bool) or not isinstance(cutoff, (int, float)):
+        raise TypeError("cutoff must be a number, got %r" % (cutoff,))
+    value = float(cutoff)
+    if math.isnan(value):
+        raise ValueError("cutoff must be a number, got NaN")
+    return value
 
 
 def _parse_batch(
@@ -308,12 +325,16 @@ class ShardWorkerServer:
             }
 
     def _op_query(self, payload: dict[str, Any]) -> dict[str, Any]:
-        query, normalizer = _parsed(
-            lambda: (_parse_query(payload), _parse_normalizer(payload))
+        query, normalizer, cutoff = _parsed(
+            lambda: (
+                _parse_query(payload),
+                _parse_normalizer(payload),
+                _parse_cutoff(payload),
+            )
         )
         stats = AccessStats()
         with self.lock.read_locked():
-            answer = self.tree.query(query, normalizer, stats)
+            answer = self.tree.query(query, normalizer, stats, cutoff)
         return {"ok": True, "results": _rows(answer),
                 "stats": list(stats.snapshot())}
 

@@ -8,7 +8,11 @@ function is *consistent* (an entry's score never exceeds a child's,
 Property 1), so the first ``k`` POIs ejected are exactly the top-``k``,
 and by Berchtold et al. the search only ever accesses nodes intersecting
 the final search region — the optimality the cost model of Section 6
-estimates.
+estimates.  A caller for which no row scoring above some value can
+matter passes that value as an inclusive ``cutoff`` (:func:`search`): a
+cluster coordinator hands each shard the running k-th score of the
+shards searched before it, which carries that optimality across shards
+as far as that score allows.
 
 Scoring runs on one of two paths per expanded node.  The **packed
 path** reads the node's :class:`~repro.core.frames.NodeFrame` — flat
@@ -28,7 +32,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from bisect import bisect_left
-from math import sqrt
+from math import inf, isnan, sqrt
 from typing import TYPE_CHECKING, Callable, Iterator, cast
 
 from repro.core.query import QueryResult, RankedAnswer
@@ -67,12 +71,25 @@ def search(
     query: KNNTAQuery,
     normalizer: Normalizer | None,
     stats: AccessStats,
+    cutoff: float = inf,
 ) -> RankedAnswer:
     """:func:`knnta_search` with its node accesses recorded into ``stats``
-    (the body of :meth:`~repro.core.tar_tree.TARTree.query`)."""
+    and every row scoring above ``cutoff`` left out (the body of
+    :meth:`~repro.core.tar_tree.TARTree.query`).
+
+    The cut answer is the uncut one truncated after its last row that
+    scores at or below ``cutoff``: by Property 1 no entry scores below
+    its parent, so the search, which never enqueues an entry scoring
+    above the cutoff, ejects the uncut sequence up to the cutoff and
+    then runs dry.
+    """
     query.validate()
+    if isnan(cutoff):
+        raise ValueError("cutoff must be a number, got NaN")
     return RankedAnswer(
-        itertools.islice(_best_first(tree, query, normalizer, stats), query.k)
+        itertools.islice(
+            _best_first(tree, query, normalizer, stats, cutoff), query.k
+        )
     )
 
 
@@ -96,8 +113,13 @@ def _best_first(
     query: KNNTAQuery,
     normalizer: Normalizer | None,
     stats: AccessStats,
+    cutoff: float = inf,
 ) -> Iterator[QueryResult]:
-    """The best-first traversal; each expanded node is counted in ``stats``."""
+    """The best-first traversal; each expanded node is counted in ``stats``.
+
+    An entry scoring above ``cutoff`` is never enqueued, so neither it
+    nor (Property 1) anything below it is ever ejected.
+    """
     if normalizer is None:
         normalizer = tree.normalizer(query.interval, query.semantics)
     root = tree.root
@@ -114,7 +136,8 @@ def _best_first(
         )
         distance, aggregate = normalizer.components(raw_distance, raw_aggregate)
         score = query.alpha0 * distance + query.alpha1 * (1.0 - aggregate)
-        heappush(heap, (score, next(tie), entry, distance, aggregate))
+        if score <= cutoff:
+            heappush(heap, (score, next(tie), entry, distance, aggregate))
 
     frames = getattr(tree, "frames", None)
     expand: Callable[[Node], None]
@@ -170,7 +193,8 @@ def _best_first(
                 distance = sqrt(dx * dx + dy * dy) / d_max
                 aggregate = raw_aggregate / g_max
                 score = alpha0 * distance + alpha1 * (1.0 - aggregate)
-                heappush(heap, (score, next(tie), entry, distance, aggregate))
+                if score <= cutoff:
+                    heappush(heap, (score, next(tie), entry, distance, aggregate))
 
     else:
 

@@ -656,6 +656,7 @@ class TARTree:
         query: KNNTAQuery,
         normalizer: Normalizer | None = None,
         stats: AccessStats | None = None,
+        cutoff: float = math.inf,
     ) -> RankedAnswer:
         """Answer a :class:`~repro.core.query.KNNTAQuery` — *the* query
         entry point.
@@ -669,12 +670,18 @@ class TARTree:
         cluster pushes its own down.  ``stats``, when given, receives
         this call's node accesses in place of :attr:`stats`, so
         concurrent callers attribute them exactly; TIA page accesses
-        always go to :attr:`stats`.  :meth:`robust_query` is the
+        always go to :attr:`stats`.  ``cutoff`` (inclusive) drops every
+        row scoring above it — the answer is the uncut one truncated
+        there — and the search stops once nothing at or below it is
+        left; a cluster passes its running k-th score.  A NaN cutoff
+        raises ``ValueError``.  :meth:`robust_query` is the
         fault-tolerant companion and :meth:`query_batch` the batch form.
         """
         from repro.core.knnta import search
 
-        return search(self, query, normalizer, self.stats if stats is None else stats)
+        return search(
+            self, query, normalizer, self.stats if stats is None else stats, cutoff
+        )
 
     def query_batch(
         self,

@@ -163,6 +163,39 @@ class TestWorkerProtocol:
         assert response["ok"]
         assert len(response["stats"]) == 4
 
+    def test_query_cutoff_drops_the_rows_scoring_above_it(self, worker_server):
+        frame = {"op": "query", "point": [0.5, 0.5], "interval": [0, 400],
+                 "k": 10, "normalizer": [1.0, 1.0]}
+        uncut = worker_server.handle_request(json.dumps(frame))["results"]
+        assert len(uncut) > 2
+        cutoff = uncut[len(uncut) // 2][1]  # a row's exact score: kept
+        response = worker_server.handle_request(
+            json.dumps(dict(frame, cutoff=cutoff))
+        )
+        assert response["ok"]
+        assert response["results"] == [row for row in uncut if row[1] <= cutoff]
+
+    def test_query_cutoff_must_be_a_number(self, worker_server):
+        # JSON's NaN parses to a float, and ``score <= nan`` never holds:
+        # accepted, it would silently empty the answer.
+        frame = json.dumps({"op": "query", "point": [0.5, 0.5],
+                            "interval": [0, 9], "normalizer": [1.0, 1.0]})
+        for bad in ("NaN", '"0.5"', "null", "true", "[0.5]"):
+            response = worker_server.handle_request(
+                frame[:-1] + ', "cutoff": %s}' % bad
+            )
+            assert response["code"] == "bad-request", bad
+            assert "cutoff" in response["error"], bad
+        # An integer too large for a float is the caller's error too,
+        # not a redacted internal one.
+        response = worker_server.handle_request(
+            frame[:-1] + ', "cutoff": 1%s}' % ("0" * 400)
+        )
+        assert response["code"] == "bad-request"
+        assert worker_server.errors == 0
+        assert worker_server.handle_request(frame[:-1] + ', "cutoff": 1}')["ok"]
+        assert worker_server.handle_request(frame)["ok"]
+
     def test_client_refuses_a_server_speaking_another_proto(self):
         class FutureHandler(socketserver.StreamRequestHandler):
             def handle(self):

@@ -8,13 +8,15 @@ from repro.datasets.workload import generate_queries
 
 @pytest.fixture(scope="session")
 def small_dataset():
-    """A small NYC-like data set (fast to index, ~200 effective POIs)."""
+    """A small NYC-like data set (fast to index, 31 effective POIs; a
+    4-shard cluster over it has single-leaf shards)."""
     return datasets.make("NYC", scale=0.02, seed=7)
 
 
 @pytest.fixture(scope="session")
 def medium_dataset():
-    """A GS-like data set with a heavier tail (~300 effective POIs)."""
+    """A GS-like data set with a heavier tail (177 effective POIs; a
+    4-shard cluster over it has two-level shards)."""
     return datasets.make("GS", scale=0.1, seed=11)
 
 

@@ -1,5 +1,6 @@
 """kNNTA query processing: BFS correctness against the scan ground truth."""
 
+import math
 import random
 
 import pytest
@@ -10,7 +11,9 @@ from repro import POI, TARTree, TimeInterval
 from repro.core.knnta import knnta_search
 from repro.core.query import KNNTAQuery
 from repro.core.scan import full_ranking, sequential_scan
+from repro.datasets.workload import generate_queries
 from repro.spatial.geometry import Rect
+from repro.storage.stats import AccessStats
 from repro.temporal.epochs import EpochClock
 from repro.temporal.tia import IntervalSemantics
 
@@ -160,6 +163,71 @@ class TestNodeAccessAccounting:
         snap = tree.stats.snapshot()
         sequential_scan(tree, KNNTAQuery((5.0, 5.0), TimeInterval(0, 12), k=5))
         assert tree.stats.diff(snap).rtree_nodes == 0
+
+
+class TestCutoff:
+    """``tree.query(query, cutoff=c)`` is the uncut answer without its
+    rows scoring above ``c``, read from no more nodes than the uncut
+    search — on the packed-frame path and the object path alike."""
+
+    @pytest.fixture(params=["packed", "object"])
+    def tree(self, request, medium_dataset):
+        tree = TARTree.build(medium_dataset)
+        assert tree.height >= 2
+        if request.param == "object":
+            tree.frames.disable()
+        return tree
+
+    @staticmethod
+    def queries(dataset):
+        # Selective to broad: small k near the point, large k with the
+        # aggregate term in play.
+        return [
+            query
+            for k, alpha0 in ((1, 0.95), (3, 0.7), (10, 0.3), (25, 0.05))
+            for query in generate_queries(
+                dataset, n_queries=12, k=k, alpha0=alpha0, seed=k
+            )
+        ]
+
+    def test_cut_answer_is_the_uncut_rows_at_or_below_the_cutoff(
+        self, tree, medium_dataset
+    ):
+        saved = 0
+        for query in self.queries(medium_dataset):
+            uncut_stats = AccessStats()
+            uncut = tree.query(query, stats=uncut_stats)
+            scores = [row.score for row in uncut]
+            between = [(a + b) / 2 for a, b in zip(scores, scores[1:]) if a < b]
+            cutoffs = [
+                scores[len(scores) // 2],  # a row's exact score: kept
+                math.nextafter(scores[0], -math.inf),  # below the best row
+                math.inf,
+            ] + between[:1]
+            for cutoff in cutoffs:
+                stats = AccessStats()
+                cut = tree.query(query, stats=stats, cutoff=cutoff)
+                assert cut == [row for row in uncut if row.score <= cutoff], (
+                    query, cutoff
+                )
+                assert stats.rtree_nodes <= uncut_stats.rtree_nodes
+                if cutoff == math.inf:
+                    assert stats.snapshot() == uncut_stats.snapshot()
+                saved += uncut_stats.rtree_nodes - stats.rtree_nodes
+        assert saved > 0, "no cutoff ever stopped a search early"
+
+    def test_cutoff_below_every_row_reads_only_the_root(self, tree, medium_dataset):
+        query = self.queries(medium_dataset)[0]
+        stats = AccessStats()
+        assert tree.query(query, stats=stats, cutoff=-math.inf) == []
+        assert stats.rtree_nodes == 1
+
+    def test_nan_cutoff_is_refused(self, tree, medium_dataset):
+        # ``score <= nan`` never holds: a NaN would silently empty the
+        # answer instead of failing.
+        query = self.queries(medium_dataset)[0]
+        with pytest.raises(ValueError, match="NaN"):
+            tree.query(query, cutoff=math.nan)
 
 
 class TestAcrossStrategiesAgreement:

@@ -81,12 +81,14 @@ def test_all_matches_module_contents():
 
 def test_query_entry_point_signatures():
     # Every query entry point takes one KNNTAQuery value (a batch, a
-    # sequence of them); the tree's two take per-call access stats.
+    # sequence of them); the tree's two take per-call access stats, and
+    # a single query an inclusive score cutoff (a cluster's running k-th).
     assert list(inspect.signature(repro.TARTree.query).parameters) == [
         "self",
         "query",
         "normalizer",
         "stats",
+        "cutoff",
     ]
     assert list(inspect.signature(repro.TARTree.query_batch).parameters) == [
         "self",
