@@ -11,6 +11,7 @@ the figure files can share structures.
 """
 
 import functools
+import json
 import os
 import platform
 import subprocess
@@ -58,6 +59,14 @@ def host():
         "python": platform.python_version(),
         "git_revision": revision,
     }
+
+
+def write_bench(name, payload):
+    """Write ``payload`` to ``BENCH_<name>.json`` at the repository root,
+    stamped with the :func:`host` it ran on."""
+    with open(os.path.join(ROOT, "BENCH_%s.json" % name), "w") as handle:
+        json.dump(dict(payload, host=host()), handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 @functools.lru_cache(maxsize=None)

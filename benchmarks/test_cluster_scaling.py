@@ -17,11 +17,9 @@ node accesses only count the shards visited.
 """
 
 import functools
-import json
-import os
 import time
 
-from _harness import BENCH_SCALES, host, print_series
+from _harness import BENCH_SCALES, print_series, write_bench
 from repro import ClusterTree, TARTree, datasets
 from repro.datasets.workload import generate_queries
 
@@ -135,21 +133,16 @@ def test_cluster_scaling_prunes_shards(benchmark):
         fmt="%10.1f",
     )
 
-    out_path = os.path.join(os.path.dirname(__file__), "..", "BENCH_cluster.json")
-    with open(os.path.abspath(out_path), "w") as handle:
-        json.dump(
-            {
-                "dataset": DATASET,
-                "host": host(),
-                "scale": SCALE,
-                "n_queries": N_QUERIES,
-                "workload_params": WORKLOADS,
-                "workloads": rows,
-            },
-            handle,
-            indent=2,
-            sort_keys=True,
-        )
+    write_bench(
+        "cluster",
+        {
+            "dataset": DATASET,
+            "scale": SCALE,
+            "n_queries": N_QUERIES,
+            "workload_params": WORKLOADS,
+            "workloads": rows,
+        },
+    )
 
     benchmark(
         lambda: [get_cluster(4).query(q) for q in get_queries("selective")]

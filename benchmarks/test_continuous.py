@@ -21,12 +21,11 @@ take turns going first.
 """
 
 import functools
-import json
 import os
 import random
 import time
 
-from _harness import ROOT, host
+from _harness import write_bench
 from repro import KNNTAQuery, TARTree, datasets
 from repro.continuous import SubscriptionRegistry, window_state
 from repro.core.collective import CollectiveProcessor
@@ -126,20 +125,10 @@ def test_advances_beside_collective_batches():
     for row in rows:
         assert row["advance_nodes"] > 0 and row["batch_nodes"] > 0
 
-    out_path = os.path.join(ROOT, "BENCH_continuous.json")
-    with open(out_path, "w") as handle:
-        json.dump(
-            {
-                "dataset": DATASET,
-                "scale": SCALE,
-                "smoke": SMOKE,
-                "host": host(),
-                "results": rows,
-            },
-            handle,
-            indent=2,
-            sort_keys=True,
-        )
+    write_bench(
+        "continuous",
+        {"dataset": DATASET, "scale": SCALE, "smoke": SMOKE, "results": rows},
+    )
 
     print()
     for row in rows:

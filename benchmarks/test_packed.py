@@ -17,11 +17,11 @@ and relaxes the bar to "not slower" for the CI smoke leg.
 """
 
 import functools
-import json
 import os
 import random
 import time
 
+from _harness import write_bench
 from repro import POI, ClusterTree, TARTree, datasets
 from repro.core.collective import CollectiveProcessor
 from repro.core.knnta import knnta_search
@@ -148,22 +148,18 @@ def test_packed_speedup_and_identity():
     }
     assert speedup >= MIN_BATCH_SPEEDUP
 
-    out_path = os.path.join(os.path.dirname(__file__), "..", "BENCH_packed.json")
-    with open(os.path.abspath(out_path), "w") as handle:
-        json.dump(
-            {
-                "dataset": DATASET,
-                "scale": SCALE,
-                "n_queries": N_QUERIES,
-                "num_shards": NUM_SHARDS,
-                "smoke": SMOKE,
-                "min_speedup": MIN_SPEEDUP,
-                "results": results,
-            },
-            handle,
-            indent=2,
-            sort_keys=True,
-        )
+    write_bench(
+        "packed",
+        {
+            "dataset": DATASET,
+            "scale": SCALE,
+            "n_queries": N_QUERIES,
+            "num_shards": NUM_SHARDS,
+            "smoke": SMOKE,
+            "min_speedup": MIN_SPEEDUP,
+            "results": results,
+        },
+    )
 
     print()
     for label, row in results.items():

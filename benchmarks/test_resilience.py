@@ -23,6 +23,7 @@ import json
 import os
 import time
 
+from _harness import ROOT, write_bench
 from repro import ClusterTree, ResilienceConfig, datasets
 from repro.core.knnta import knnta_search
 from repro.datasets.workload import generate_queries
@@ -191,9 +192,7 @@ def test_degraded_mode_is_not_slower_than_healthy():
 def _emit(**fields):
     """Merge ``fields`` into BENCH_resilience.json (tests run in order,
     each contributing its side of the story)."""
-    out_path = os.path.abspath(
-        os.path.join(os.path.dirname(__file__), "..", "BENCH_resilience.json")
-    )
+    out_path = os.path.join(ROOT, "BENCH_resilience.json")
     payload = {
         "dataset": DATASET,
         "scale": SCALE,
@@ -204,5 +203,4 @@ def _emit(**fields):
         with open(out_path) as handle:
             payload.update(json.load(handle))
     payload.update(fields)
-    with open(out_path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+    write_bench("resilience", payload)

@@ -19,12 +19,11 @@ for the CI smoke leg.
 """
 
 import functools
-import json
 import os
 import statistics
 import time
 
-from _harness import ROOT, host, print_series
+from _harness import print_series, write_bench
 from repro import AccessStats, TARTree, datasets
 from repro.core.collective import CollectiveProcessor
 from repro.datasets.workload import generate_queries
@@ -159,20 +158,16 @@ def test_service_batch_costs_its_riders():
             )
         )
 
-    with open(os.path.join(ROOT, "BENCH_service.json"), "w") as handle:
-        json.dump(
-            {
-                "dataset": DATASET,
-                "scale": SCALE,
-                "seed": SEED,
-                "interval_days": INTERVAL_DAYS,
-                "host": host(),
-                "levels": rows,
-            },
-            handle,
-            indent=2,
-            sort_keys=True,
-        )
+    write_bench(
+        "service",
+        {
+            "dataset": DATASET,
+            "scale": SCALE,
+            "seed": SEED,
+            "interval_days": INTERVAL_DAYS,
+            "levels": rows,
+        },
+    )
 
 
 def test_service_batch_is_one_batch():

@@ -32,15 +32,17 @@ Commands cover the library's end-to-end flow without writing code:
   state directory (normally spawned by ``serve --shard-workers``).
 * ``lint`` — run the project's static-analysis rules
   (:mod:`repro.devtools`): lock discipline, WAL-before-apply, bare
-  asserts, float equality, exception hygiene, warn stacklevel.
+  asserts, float equality, exception hygiene, guarded shard dispatch
+  and the whole-program lock-order rules.
 
 Exit codes (all commands): ``0`` success, ``1`` a check failed (a scan
 cross-check mismatch, ``verify`` found invariant violations, ``lint``
 found rule violations, or ``recover --verify`` found violations after
-replay), ``2`` a snapshot or WAL was corrupt or unreadable
-(``CorruptSnapshotError``), a snapshot has a format version this build
-does not read or is not a tree snapshot (``UnsupportedSnapshotError``),
-or, for ``lint``, bad usage (unknown rule id or missing path).  ``argparse`` itself exits with ``2`` on bad usage.
+replay), ``2`` a data set, snapshot or WAL was missing, corrupt or
+unreadable (``CorruptSnapshotError``), has a format this build does not
+read or is not a tree snapshot (``UnsupportedSnapshotError``), or, for
+``lint``, bad usage (unknown rule id or missing path).  ``argparse``
+itself exits with ``2`` on bad usage.
 
 Example session::
 
@@ -439,9 +441,9 @@ def build_parser():
         description=(
             "Run the repro.devtools lint rules: RT001 lock-discipline, "
             "RT002 wal-before-apply, RT003 no-bare-assert, RT004 "
-            "float-equality, RT005 exception-hygiene, RT006 "
-            "warn-stacklevel, RT007 guarded-shard-dispatch, RT008 "
-            "lock-order, RT009 no-blocking-under-lock, RT010 "
+            "float-equality, RT005 exception-hygiene, RT007 "
+            "guarded-shard-dispatch, RT008 lock-order, RT009 "
+            "no-blocking-under-lock, RT010 "
             "no-foreign-callback-under-lock (plus RT000 "
             "unused-suppression and RT900 parse-error meta findings). "
             "RT008-RT010 run one shared whole-program pass over the "
@@ -563,9 +565,10 @@ def _command_generate(args, out):
 
 def _command_fit(args, out):
     from repro.analysis.powerlaw import fit_discrete_powerlaw, goodness_of_fit
-    from repro.storage.serialize import load_dataset
 
-    data = load_dataset(args.dataset)
+    data = _load_dataset(args.dataset, out)
+    if data is None:
+        return 2
     totals = [v for v in data.totals().values() if v > 0]
     fit = fit_discrete_powerlaw(totals)
     gof = goodness_of_fit(totals, fit, n_bootstrap=args.bootstrap, seed=args.seed)
@@ -587,9 +590,11 @@ def _command_fit(args, out):
 
 def _command_build(args, out):
     from repro.core.tar_tree import TARTree
-    from repro.storage.serialize import load_dataset, save_tree
+    from repro.storage.serialize import save_tree
 
-    data = load_dataset(args.dataset)
+    data = _load_dataset(args.dataset, out)
+    if data is None:
+        return 2
     tree = TARTree.build(
         data,
         epoch_length=args.epoch_days,
@@ -604,6 +609,28 @@ def _command_build(args, out):
         file=out,
     )
     return 0
+
+
+def _load_dataset(path, out):
+    """Load a data set archive, or print why not and return None (exit 2)."""
+    from repro.storage.serialize import (
+        CorruptSnapshotError,
+        UnsupportedSnapshotError,
+        load_dataset,
+    )
+
+    try:
+        return load_dataset(path)
+    except CorruptSnapshotError as exc:
+        print(
+            "corrupt dataset snapshot (section %r): %s" % (exc.section, exc),
+            file=out,
+        )
+    except UnsupportedSnapshotError as exc:
+        print("cannot load dataset snapshot %s: %s" % (path, exc), file=out)
+    except OSError as exc:
+        print("cannot read dataset snapshot %s: %s" % (path, exc), file=out)
+    return None
 
 
 def _load_tree(path, out):
@@ -744,6 +771,11 @@ def _command_watch(args, out):
     from repro.continuous import SubscriptionRegistry
     from repro.temporal.tia import IntervalSemantics
 
+    data = None
+    if args.dataset is not None:
+        data = _load_dataset(args.dataset, out)
+        if data is None:
+            return 2
     tree, cluster = _open_tree_or_cluster(args.tree, out)
     if tree is None:
         return 2
@@ -804,13 +836,11 @@ def _command_watch(args, out):
                 % (rank, row.poi_id, row.score, row.distance, row.aggregate),
                 file=out,
             )
-        if args.dataset is None:
+        if data is None:
             return 0
 
         from repro.datasets.streaming import epoch_stream
-        from repro.storage.serialize import load_dataset
 
-        data = load_dataset(args.dataset)
         pushed = 0
         stream = epoch_stream(
             data,
@@ -870,26 +900,14 @@ def _command_mwa(args, out):
 
 def _command_verify(args, out):
     from repro.reliability.validate import validate_against_dataset, validate_tree
-    from repro.storage.serialize import CorruptSnapshotError, load_dataset
 
     tree = _load_tree(args.tree, out)
     if tree is None:
         return 2
     report = validate_tree(tree)
     if args.dataset:
-        try:
-            data = load_dataset(args.dataset)
-        except CorruptSnapshotError as exc:
-            print(
-                "corrupt dataset snapshot (section %r): %s" % (exc.section, exc),
-                file=out,
-            )
-            return 2
-        except OSError as exc:
-            print(
-                "cannot read dataset snapshot %s: %s" % (args.dataset, exc),
-                file=out,
-            )
+        data = _load_dataset(args.dataset, out)
+        if data is None:
             return 2
         report.extend(validate_against_dataset(tree, data))
     print(report.summary(limit=args.max_report), file=out)
@@ -905,24 +923,12 @@ def _command_recover(args, out):
     from repro.storage.serialize import (
         CorruptSnapshotError,
         UnsupportedSnapshotError,
-        load_dataset,
     )
 
     dataset = None
     if args.dataset:
-        try:
-            dataset = load_dataset(args.dataset)
-        except CorruptSnapshotError as exc:
-            print(
-                "corrupt dataset snapshot (section %r): %s" % (exc.section, exc),
-                file=out,
-            )
-            return 2
-        except OSError as exc:
-            print(
-                "cannot read dataset snapshot %s: %s" % (args.dataset, exc),
-                file=out,
-            )
+        dataset = _load_dataset(args.dataset, out)
+        if dataset is None:
             return 2
     try:
         report = recover(args.directory, name=args.name, dataset=dataset)
@@ -1062,32 +1068,21 @@ def _command_serve(args, out, err):
             tree = report.tree
             print(report.summary(), file=out)
         else:
-            if args.state_dir:
-                stale = [
-                    args.name + extension
-                    for extension in (".wal", ".digestlog")
-                    if os.path.exists(
-                        os.path.join(args.state_dir, args.name + extension)
-                    )
-                ]
-                if stale:
-                    # A WAL without its checkpoint snapshot means durable
-                    # mutations with no base state to replay onto.
-                    # Starting fresh here would silently discard them
-                    # (the new checkpoint would orphan the old records).
-                    print(
-                        "state dir %s holds %s but no %s.json checkpoint; "
-                        "refusing to start over durable mutations — run "
-                        "'repro recover %s' (or remove the directory) first"
-                        % (
-                            args.state_dir,
-                            " and ".join(stale),
-                            args.name,
-                            args.state_dir,
-                        ),
-                        file=err,
-                    )
-                    return 2
+            if args.state_dir and os.path.exists(
+                os.path.join(args.state_dir, args.name + ".wal")
+            ):
+                # A WAL without its checkpoint snapshot means durable
+                # mutations with no base state to replay onto.  Starting
+                # fresh here would silently discard them (the new
+                # checkpoint would orphan the old records).
+                print(
+                    "state dir %s holds %s.wal but no %s.json checkpoint; "
+                    "refusing to start over durable mutations — run "
+                    "'repro recover %s' (or remove the directory) first"
+                    % (args.state_dir, args.name, args.name, args.state_dir),
+                    file=err,
+                )
+                return 2
             tree = load_tree(args.tree)
         if args.state_dir:
             ingest = CheckpointedIngest(tree, args.state_dir, name=args.name)
@@ -1145,21 +1140,9 @@ def _command_serve(args, out, err):
 
 def _command_shard(args, out):
     from repro.cluster import ClusterTree, save_cluster
-    from repro.storage.serialize import CorruptSnapshotError, load_dataset
 
-    try:
-        data = load_dataset(args.dataset)
-    except CorruptSnapshotError as exc:
-        print(
-            "corrupt dataset snapshot (section %r): %s" % (exc.section, exc),
-            file=out,
-        )
-        return 2
-    except OSError as exc:
-        print(
-            "cannot read dataset snapshot %s: %s" % (args.dataset, exc),
-            file=out,
-        )
+    data = _load_dataset(args.dataset, out)
+    if data is None:
         return 2
     cluster = ClusterTree.build(
         data,

@@ -44,7 +44,6 @@ sites ``shard.<i>.query`` / ``shard.<i>.mutate`` / ``shard.<i>.scrub``
 from __future__ import annotations
 
 import random
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout

@@ -405,10 +405,7 @@ class ShardWorkerServer:
         ):
             raise _BadRequest("wal_tail 'after' must be an integer LSN")
         # Under the *write* lock: no mutation is mid-append, so the tail
-        # read here is a complete drain up to a quiescent LSN.  The log
-        # path comes from the live ingest (a legacy directory appends to
-        # '<name>.digestlog' — reading a hardcoded '.wal' there would
-        # silently drain nothing).
+        # read here is a complete drain up to a quiescent LSN.
         with self.lock.write_locked():
             records, _dropped = read_wal(self.ingest.log_path)
             if after is not None:

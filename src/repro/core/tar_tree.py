@@ -731,20 +731,6 @@ class TARTree:
 
         return robust_knnta(self, query, **options)
 
-    def entry_score(
-        self, entry: Entry, query: KNNTAQuery, normalizer: Normalizer
-    ) -> float:
-        """Ranking score lower bound of an entry (Section 4.3).
-
-        Weighted sum of MINDIST from the query point to the entry's MBR
-        and the aggregate its TIA reports over the query interval.  For a
-        leaf entry both components are exact, so the BFS pops POIs in
-        true score order.
-        """
-        distance = entry.mbr.min_dist(query.point)
-        aggregate = self.tia_aggregate(entry.tia, query.interval, query.semantics)
-        return normalizer.score(query.alpha0, distance, aggregate)
-
     def record_node_access(self, node: Node) -> None:
         """Count one node access in the shared stats."""
         self.stats.record_node(node.is_leaf)

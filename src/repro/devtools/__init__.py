@@ -6,9 +6,8 @@ AST-based lint engine (:mod:`repro.devtools.engine`) plus the rules
 cannot know — the service's readers-writer lock protocol (RT001), the
 WAL-before-apply contract (RT002), ``-O``-proof invariant checks
 (RT003), float-comparison hygiene in the numeric core (RT004),
-exception hygiene on the reliability surface (RT005),
-caller-pointing deprecation warnings (RT006), guarded shard dispatch
-(RT007), and the whole-program concurrency rules: lock ordering
+exception hygiene on the reliability surface (RT005), guarded shard
+dispatch (RT007), and the whole-program concurrency rules: lock ordering
 against the canonical hierarchy (RT008), no blocking under exclusive
 locks (RT009) and no foreign callbacks under engine locks (RT010).
 The concurrency rules share one interprocedural pass over the

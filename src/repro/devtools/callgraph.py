@@ -546,16 +546,6 @@ class Program:
     # Derived relations
     # ------------------------------------------------------------------
 
-    def callers_of(self, summaries: dict[str, FunctionSummary]
-                   ) -> dict[str, list[tuple[str, CallSite]]]:
-        """Reverse edges: callee key -> [(caller key, site), ...]."""
-        callers: dict[str, list[tuple[str, CallSite]]] = {}
-        for key, summary in summaries.items():
-            for site in summary.calls:
-                if site.callee is not None:
-                    callers.setdefault(site.callee, []).append((key, site))
-        return callers
-
     def transitive_acquisitions(
         self, summaries: dict[str, FunctionSummary]
     ) -> dict[str, set[str]]:

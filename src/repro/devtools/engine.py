@@ -49,7 +49,7 @@ import json
 import os
 import re
 import tokenize
-from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import IO, Iterable, Iterator, Sequence, TypeVar
 
 from repro.devtools.callgraph import Program, build_program
 
@@ -135,12 +135,6 @@ class ProgramContext:
         self.files = files
         self.program: Program = build_program(files)
         self.cache: dict[str, object] = {}
-
-    def file_for(self, module: str) -> FileContext | None:
-        for context in self.files:
-            if context.module == module:
-                return context
-        return None
 
 
 class Rule:
@@ -488,7 +482,7 @@ def render_json(findings: Sequence[Finding], files_checked: int,
 
 
 # ---------------------------------------------------------------------------
-# Shared AST helpers (used by several rules)
+# Shared AST helper
 # ---------------------------------------------------------------------------
 
 
@@ -500,74 +494,3 @@ def call_name(node: ast.Call) -> str | None:
     if isinstance(func, ast.Attribute):
         return func.attr
     return None
-
-
-def walk_functions(tree: ast.Module) -> Iterator[tuple[str, ast.AST]]:
-    """Yield ``(name, node)`` for every function/method in ``tree``.
-
-    Methods are yielded under their bare name — intra-module call
-    resolution treats ``self.f(...)`` and ``f(...)`` alike.
-    """
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.name, node
-
-
-def for_each_call(
-    body: Sequence[ast.stmt],
-    visit: Callable[[ast.Call, str], None],
-    state: str = "none",
-) -> None:
-    """Walk statements tracking lock state; call ``visit(call, state)``.
-
-    ``state`` is ``"none"``, ``"read"`` or ``"write"`` according to the
-    innermost enclosing ``with ...read_locked():`` /
-    ``...write_locked():`` block (write shadows read).  Nested function
-    definitions are not descended into — they have their own dominance
-    obligations.
-    """
-    for stmt in body:
-        _walk_stmt(stmt, visit, state)
-
-
-def _lock_state_of(with_node: ast.With, state: str) -> str:
-    for item in with_node.items:
-        expr = item.context_expr
-        if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute):
-            if expr.func.attr == "write_locked":
-                return "write"
-            if expr.func.attr == "read_locked" and state != "write":
-                state = "read"
-    return state
-
-
-def _walk_stmt(stmt: ast.stmt, visit: Callable[[ast.Call, str], None],
-               state: str) -> None:
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        return
-    inner = state
-    if isinstance(stmt, ast.With):
-        inner = _lock_state_of(stmt, state)
-        for item in stmt.items:
-            _visit_calls_in_expr(item.context_expr, visit, state)
-        for child in stmt.body:
-            _walk_stmt(child, visit, inner)
-        return
-    for value in ast.iter_child_nodes(stmt):
-        if isinstance(value, ast.stmt):
-            _walk_stmt(value, visit, state)
-        elif isinstance(value, ast.expr):
-            _visit_calls_in_expr(value, visit, state)
-        elif isinstance(value, (ast.excepthandler, ast.match_case)):
-            for child in ast.iter_child_nodes(value):
-                if isinstance(child, ast.stmt):
-                    _walk_stmt(child, visit, state)
-                elif isinstance(child, ast.expr):
-                    _visit_calls_in_expr(child, visit, state)
-
-
-def _visit_calls_in_expr(expr: ast.expr, visit: Callable[[ast.Call, str], None],
-                         state: str) -> None:
-    for node in ast.walk(expr):
-        if isinstance(node, ast.Call):
-            visit(node, state)

@@ -3,13 +3,14 @@
 Each rule encodes one discipline this repository's correctness arguments
 rest on — the service's lock protocol, the WAL-before-apply contract,
 ``-O``-proof invariant checks, float-comparison hygiene in the numeric
-hot paths, exception hygiene on the reliability surface,
-caller-pointing deprecation warnings, guarded shard dispatch, and (from
-this PR) the whole-program concurrency rules: lock ordering against
-the canonical hierarchy (RT008), no blocking operations under
+hot paths, exception hygiene on the reliability surface, guarded shard
+dispatch, and the whole-program concurrency rules: lock ordering
+against the canonical hierarchy (RT008), no blocking operations under
 exclusive locks (RT009), and no foreign callbacks under engine locks
-(RT010).  The rule-by-rule rationale (with the paper/WAL/lock
-invariant each protects) lives in ``docs/DEVTOOLS.md``.
+(RT010).  RT006 (warn-stacklevel) was retired with the last
+``warnings.warn`` call; its id is not reused.  The rule-by-rule
+rationale (with the paper/WAL/lock invariant each protects) lives in
+``docs/DEVTOOLS.md``.
 
 Per-file rules are pure functions of one
 :class:`~repro.devtools.engine.FileContext`; the concurrency rules are
@@ -278,17 +279,6 @@ def _name_has(name: str | None, fragments: tuple[str, ...]) -> bool:
         return False
     lowered = name.lower()
     return any(fragment in lowered for fragment in fragments)
-
-
-def _is_local_call(call: ast.Call) -> bool:
-    """Is this an intra-module call (``f(...)`` or ``self.f(...)``)?"""
-    if isinstance(call.func, ast.Name):
-        return True
-    return (
-        isinstance(call.func, ast.Attribute)
-        and isinstance(call.func.value, ast.Name)
-        and call.func.value.id == "self"
-    )
 
 
 @rule
@@ -672,45 +662,6 @@ class ExceptionHygieneRule(Rule):
             ):
                 return True
         return False
-
-
-@rule
-class WarnStacklevelRule(Rule):
-    """RT006: ``warnings.warn`` must pass ``stacklevel``.
-
-    The deprecation shims promise that warnings point at the *caller's*
-    file (``tests/reliability/test_recovery.py`` pins this); a ``warnings.warn``
-    without ``stacklevel`` blames the shim itself, which hides every
-    call site the warning exists to surface.
-    """
-
-    rule_id = "RT006"
-    name = "warn-stacklevel"
-    rationale = (
-        "without stacklevel a DeprecationWarning names the shim, not the "
-        "caller that must migrate"
-    )
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not (
-                isinstance(func, ast.Attribute)
-                and func.attr == "warn"
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "warnings"
-            ):
-                continue
-            if any(kw.arg == "stacklevel" for kw in node.keywords):
-                continue
-            yield self.finding(
-                context,
-                node,
-                "warnings.warn without stacklevel= blames the shim instead "
-                "of the caller",
-            )
 
 
 @rule

@@ -27,7 +27,6 @@ Two pieces:
 """
 
 import hashlib
-import math
 
 from repro.spatial.bulk import str_partition
 from repro.spatial.geometry import Rect

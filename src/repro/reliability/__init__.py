@@ -14,8 +14,8 @@ footing.  Four cooperating pieces:
   ``python -O``.
 * :mod:`repro.reliability.wal` — the typed mutation write-ahead log:
   CRC-framed ``digest`` / ``insert`` / ``delete`` / ``checkpoint``
-  records with strictly monotonic LSNs, torn-tail repair, and legacy
-  digest-log compatibility.
+  records with strictly monotonic LSNs and torn-tail repair; an intact
+  line of any other format is refused, never cut off.
 * :mod:`repro.reliability.recovery` — :func:`robust_knnta` (bounded
   retry/backoff on transient faults, fallback to the sequential-scan
   baseline on detected corruption) and crash-recoverable streaming
@@ -41,11 +41,9 @@ from repro.reliability.faults import (
 )
 from repro.reliability.recovery import (
     CheckpointedIngest,
-    DigestLog,
     RecoveryReport,
     RetryPolicy,
     RobustAnswer,
-    read_digest_log,
     recover,
     robust_knnta,
 )
@@ -80,11 +78,9 @@ __all__ = [
     "torn_write",
     "truncate_file",
     "CheckpointedIngest",
-    "DigestLog",
     "RecoveryReport",
     "RetryPolicy",
     "RobustAnswer",
-    "read_digest_log",
     "recover",
     "robust_knnta",
     "ValidationReport",

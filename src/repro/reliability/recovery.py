@@ -26,7 +26,6 @@ Two halves:
 
 import os
 import time
-import warnings
 
 from repro.reliability.faults import TransientIOError
 from repro.reliability.validate import validate_tree
@@ -38,7 +37,11 @@ from repro.reliability.wal import (
     MutationWAL,
     read_wal,
 )
-from repro.storage.serialize import load_tree, save_tree
+from repro.storage.serialize import (
+    UnsupportedSnapshotError,
+    load_tree,
+    save_tree,
+)
 from repro.temporal.tia import AggregateKind, IntervalSemantics
 
 _DEFAULT_SLEEP = object()
@@ -240,17 +243,20 @@ def robust_knnta(tree, query, normalizer=None, retry=None, validate=False,
 
 
 def _wal_path(directory, name):
-    """The mutation WAL path for ``<directory>/<name>``.
+    """The mutation WAL path for ``<directory>/<name>``: ``<name>.wal``.
 
-    New state uses ``<name>.wal``; a directory holding only the PR-1
-    ``<name>.digestlog`` keeps using it, so legacy state stays
-    recoverable — and appendable — in place.
+    A directory holding ``<name>.digestlog`` — the digest-only log that
+    preceded the typed WAL — raises :class:`UnsupportedSnapshotError`:
+    this build reads no such log, and starting a fresh ``<name>.wal``
+    beside it would silently drop every mutation it holds.
     """
-    wal = os.path.join(directory, name + ".wal")
     legacy = os.path.join(directory, name + ".digestlog")
-    if not os.path.exists(wal) and os.path.exists(legacy):
-        return legacy
-    return wal
+    if os.path.exists(legacy):
+        raise UnsupportedSnapshotError(
+            "%s is a digest-only log, the format before the typed mutation "
+            "WAL; this build does not read it" % legacy
+        )
+    return os.path.join(directory, name + ".wal")
 
 
 class CheckpointedIngest:
@@ -272,18 +278,20 @@ class CheckpointedIngest:
     calling :meth:`close`.
 
     ``directory`` receives ``<name>.json`` (the snapshot) and
-    ``<name>.wal`` (the log; a pre-existing PR-1 ``<name>.digestlog``
-    is reused in place).  A snapshot is written on construction when
-    none exists, so :func:`recover` always has a base state.
+    ``<name>.wal`` (the log).  A snapshot is written on construction
+    when none exists, so :func:`recover` always has a base state.  A
+    directory holding state of a format this build does not read raises
+    :class:`UnsupportedSnapshotError` before any file is created or
+    changed.
     """
 
     def __init__(self, tree, directory, name="tree"):
         self.tree = tree
         self.directory = directory
         self.name = name
+        self.log_path = _wal_path(directory, name)
         os.makedirs(directory, exist_ok=True)
         self.snapshot_path = os.path.join(directory, name + ".json")
-        self.log_path = _wal_path(directory, name)
         self.log = MutationWAL(self.log_path)
         self._last_logged_lsn = None
         try:
@@ -424,7 +432,8 @@ class RecoveryReport:
     ``replayed`` maps each mutation record type (``"insert"``,
     ``"delete"``, ``"digest"``) to the number of records whose replay
     changed tree state; ``last_lsn`` is the applied-LSN high-water mark
-    after replay (``None`` for a legacy state that never recorded one).
+    after replay (``None`` when neither the snapshot nor the log held
+    one).
     ``caught_up_checkins`` is the number of check-ins reconciled from
     the source data set, ``0`` when no reconciliation was needed, or
     ``None`` when it was requested but *skipped* — a max-aggregate tree
@@ -449,11 +458,6 @@ class RecoveryReport:
         self.skipped_pois = skipped_pois
         self.caught_up_checkins = caught_up_checkins
         self.last_lsn = last_lsn
-
-    @property
-    def replayed_epochs(self):
-        """Replayed ``digest`` records (the PR-1 counter's name)."""
-        return self.replayed[RECORD_DIGEST]
 
     def summary(self):
         """One-line description of the recovery outcome."""
@@ -494,12 +498,14 @@ def recover(directory, name="tree", dataset=None, stats=None, **overrides):
     high-water mark are skipped outright, an ``insert`` of an
     already-present POI and a ``delete`` of an absent one are no-ops,
     each ``digest`` record raises TIAs to its recorded absolute values
-    (so half-applied batches and legacy post-checkpoint leftovers are
-    harmless), a torn tail is dropped, and ``checkpoint`` markers are
-    ignored.  When the source ``dataset`` is given,
-    :func:`repro.datasets.streaming.catch_up` then reconciles the tree
-    with the stream, covering any batch whose log record was lost with
-    the crash.  Returns a :class:`RecoveryReport`.
+    (so half-applied batches are harmless), a torn tail is dropped, and
+    ``checkpoint`` markers are ignored.  When the source ``dataset`` is
+    given, :func:`repro.datasets.streaming.catch_up` then reconciles the
+    tree with the stream, covering any batch whose log record was lost
+    with the crash.  Returns a :class:`RecoveryReport`.  State of a
+    format this build does not read — a ``<name>.digestlog``, or an
+    intact WAL line that is no known record — raises
+    :class:`UnsupportedSnapshotError`.
 
     For a *max*-aggregate tree ``catch_up`` cannot reconcile (epochs are
     peaks, not additive counts), so the data-set pass is skipped and the
@@ -559,65 +565,3 @@ def recover(directory, name="tree", dataset=None, stats=None, **overrides):
     return RecoveryReport(
         tree, replayed, dropped, skipped, caught_up, tree.applied_lsn
     )
-
-
-# ---------------------------------------------------------------------------
-# Deprecated PR-1 digest-log aliases
-# ---------------------------------------------------------------------------
-
-
-def _warn_digest_log(name):
-    warnings.warn(
-        "%s is deprecated; use the typed mutation WAL "
-        "(repro.reliability.wal.MutationWAL / read_wal)" % name,
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-class DigestLog:
-    """Deprecated PR-1 facade over :class:`~repro.reliability.wal.MutationWAL`.
-
-    ``append(epoch_index, pairs)`` maps to
-    :meth:`~repro.reliability.wal.MutationWAL.log_digest` and
-    ``truncate()`` to :meth:`~repro.reliability.wal.MutationWAL.reset`
-    (which now leaves a single checkpoint marker — LSNs keep increasing
-    instead of restarting at zero).
-    """
-
-    def __init__(self, path):
-        _warn_digest_log("DigestLog")
-        self._wal = MutationWAL(path)
-        self.path = path
-
-    def append(self, epoch_index, pairs):
-        return self._wal.log_digest(epoch_index, pairs)
-
-    def truncate(self):
-        self._wal.reset()
-
-    def close(self):
-        self._wal.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-
-
-def read_digest_log(path):
-    """Deprecated: read a log's ``digest`` records in the PR-1 shape.
-
-    Returns ``([[lsn, epoch_index, pairs], ...], dropped_tail_lines)``,
-    ignoring every non-``digest`` record.  Use
-    :func:`repro.reliability.wal.read_wal` for the full typed stream.
-    """
-    _warn_digest_log("read_digest_log")
-    records, dropped = read_wal(path)
-    bodies = [
-        [record.lsn, record.payload[0], record.payload[1]]
-        for record in records
-        if record.type == RECORD_DIGEST
-    ]
-    return bodies, dropped

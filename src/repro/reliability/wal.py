@@ -1,10 +1,8 @@
 """The mutation write-ahead log (WAL) behind crash-recoverable ingest.
 
-PR 1's digest log covered only ``digest_epoch`` batches; this module
-generalises it into a **typed mutation WAL** so the *whole* TAR-tree
-mutation stream — POI insertions and deletions included — is durable
-and replayable (ARIES-style: log first, apply second, replay
-idempotently).
+A **typed mutation WAL** makes the *whole* TAR-tree mutation stream —
+epoch digests, POI insertions and deletions — durable and replayable
+(ARIES-style: log first, apply second, replay idempotently).
 
 Each record is one line, ``<crc32 hex> <json>\\n``, whose JSON body is
 ``[lsn, type, payload]``:
@@ -25,18 +23,21 @@ reset the counter, it atomically rewrites the log to a single
 ``checkpoint`` marker carrying the *next* LSN, so a snapshot's recorded
 ``applied_lsn`` high-water mark stays comparable with every later
 record.  ``value_after`` in digest records is the absolute TIA value
-the batch must reach, which keeps replay idempotent even without the
-high-water mark (legacy snapshots).
+the batch must reach, which keeps replay idempotent on its own: a
+batch replayed twice reaches the same values.
 
-Legacy PR-1 digest-log lines (body ``[seq, epoch_index, pairs]``) parse
-as ``digest`` records, so pre-existing logs remain replayable.
-
-Damage handling is byte-exact and matches the PR-1 semantics: a torn
-final line (crash mid-append, or a final line missing its newline) is
+Damage handling is byte-exact: a torn final line (crash mid-append, a
+CRC mismatch, an unframed line, or a final line missing its newline) is
 detected and dropped — and *repaired* on reopen by truncating back to
 the last intact record — while a damaged line before intact ones means
 real corruption and raises
-:class:`~repro.storage.serialize.CorruptSnapshotError`.
+:class:`~repro.storage.serialize.CorruptSnapshotError`.  A complete,
+CRC-valid line that is not a ``[lsn, type, payload]`` record of a known
+type is neither: it was written whole, by a format this build does not
+read (the digest-only log's ``[seq, epoch_index, pairs]`` body, or a
+record type added later), so the scan raises
+:class:`~repro.storage.serialize.UnsupportedSnapshotError` naming the
+path and line instead of cutting it off as a torn tail.
 """
 
 from __future__ import annotations
@@ -46,7 +47,10 @@ import os
 import zlib
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
-from repro.storage.serialize import CorruptSnapshotError
+from repro.storage.serialize import (
+    CorruptSnapshotError,
+    UnsupportedSnapshotError,
+)
 
 RECORD_DIGEST = "digest"
 RECORD_INSERT = "insert"
@@ -81,39 +85,39 @@ def _frame(body: str) -> str:
     return "%08x %s\n" % (zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF, body)
 
 
-def _parse_line(line: str) -> WalRecord | None:
-    """Return the decoded :class:`WalRecord`, or ``None`` for damage."""
-    line = line.rstrip("\n")
-    if not line:
+def _unframe(line: bytes) -> str | None:
+    """The body of a ``<crc32 hex> <json>`` line whose CRC matches.
+
+    ``None`` means damage: an unframed line or a CRC mismatch.
+    """
+    text = line.decode("utf-8", errors="replace").rstrip("\n")
+    if len(text) < 10 or text[8] != " ":
         return None
-    if len(line) < 10 or line[8] != " ":
-        return None
-    crc_text, body = line[:8], line[9:]
+    crc_text, body = text[:8], text[9:]
     try:
         stored = int(crc_text, 16)
     except ValueError:
         return None
     if zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF != stored:
         return None
-    try:
-        record = json.loads(body)
-    except ValueError:
-        return None
+    return body
+
+
+def _decode(body: str) -> WalRecord:
+    """The record in an intact body; ``ValueError`` says why it is none."""
+    record = json.loads(body)
     if not isinstance(record, list) or len(record) != 3:
-        return None
+        raise ValueError("not an [lsn, type, payload] record")
     lsn, kind, payload = record
     if isinstance(lsn, bool) or not isinstance(lsn, int) or lsn < 0:
-        return None
-    if isinstance(kind, str):
-        if kind not in RECORD_TYPES or not isinstance(payload, list):
-            return None
-        return WalRecord(lsn, kind, payload)
-    # Legacy PR-1 digest-log body: [seq, epoch_index, pairs].
-    if isinstance(kind, int) and not isinstance(kind, bool) and isinstance(
-        payload, list
-    ):
-        return WalRecord(lsn, RECORD_DIGEST, [kind, payload])
-    return None
+        raise ValueError("LSN %r is not a non-negative integer" % (lsn,))
+    if kind not in RECORD_TYPES:
+        raise ValueError(
+            "record type %r is not one of %s" % (kind, ", ".join(RECORD_TYPES))
+        )
+    if not isinstance(payload, list):
+        raise ValueError("%s payload is not a list" % kind)
+    return WalRecord(lsn, kind, payload)
 
 
 def _fsync_directory(directory: str) -> None:
@@ -136,7 +140,9 @@ def _scan_wal(path: str) -> tuple[list[WalRecord], int, int]:
     newline-terminated record — the truncation point that discards a
     torn tail without touching any acked data.  Raises
     :class:`CorruptSnapshotError` when damage appears *before* intact
-    records (mid-log corruption) or LSNs go backwards.
+    records (mid-log corruption) or LSNs go backwards, and
+    :class:`UnsupportedSnapshotError` for a complete, CRC-valid line
+    that holds no record of a known type.
     """
     if not os.path.exists(path):
         return [], 0, 0
@@ -145,18 +151,30 @@ def _scan_wal(path: str) -> tuple[list[WalRecord], int, int]:
     # (record_or_None, end_offset_incl_newline) per non-blank line
     entries: list[tuple[WalRecord | None, int]] = []
     pos = 0
+    number = 0
     while pos < len(data):
         newline = data.find(b"\n", pos)
         end = len(data) if newline == -1 else newline + 1
         chunk = data[pos:end]
-        if chunk.strip():
-            record = _parse_line(chunk.decode("utf-8", errors="replace"))
-            # A final line without its newline is torn even if the CRC
-            # happens to pass — never treat it as a safe append point.
-            if newline == -1:
-                record = None
-            entries.append((record, end))
         pos = end
+        number += 1
+        if not chunk.strip():
+            continue
+        # A final line without its newline is torn even if the CRC
+        # happens to pass — never treat it as a safe append point.
+        body = _unframe(chunk) if newline != -1 else None
+        record: WalRecord | None = None
+        if body is not None:
+            # Written whole, so not a torn tail: cutting it off would
+            # drop a record some writer acked.
+            try:
+                record = _decode(body)
+            except ValueError as exc:
+                raise UnsupportedSnapshotError(
+                    "mutation WAL %s line %d holds no record this build "
+                    "reads: %s" % (path, number, exc)
+                ) from None
+        entries.append((record, end))
     last_ok = -1
     for i, (record, _end) in enumerate(entries):
         if record is not None:
@@ -183,11 +201,12 @@ def _scan_wal(path: str) -> tuple[list[WalRecord], int, int]:
 def read_wal(path: str) -> tuple[list[WalRecord], int]:
     """Parse a mutation WAL; returns ``(records, dropped_tail_lines)``.
 
-    ``records`` holds the intact :class:`WalRecord` s in LSN order
-    (legacy digest-log lines surface as ``digest`` records);
+    ``records`` holds the intact :class:`WalRecord` s in LSN order;
     ``dropped_tail_lines`` counts torn/garbled lines at the tail.
     Raises :class:`CorruptSnapshotError` when damage appears *before*
-    intact records (mid-log corruption) or LSNs go backwards.
+    intact records (mid-log corruption) or LSNs go backwards, and
+    :class:`UnsupportedSnapshotError` for an intact line of a format
+    this build does not read.
     """
     records, dropped, _valid_end = _scan_wal(path)
     return records, dropped

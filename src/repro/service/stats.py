@@ -10,7 +10,6 @@ JSON-serialisable ``dict`` (the shape the wire protocol's ``stats`` op
 returns).
 """
 
-import threading
 from collections import deque
 
 from repro.devtools.lockmodel import STATS
@@ -34,8 +33,8 @@ class ServiceStats:
 
     ``access_totals`` accumulates the per-batch access deltas (via
     :meth:`AccessStats.merge`), so dividing by ``completed`` gives the
-    mean per-request cost — lower than the same requests run
-    individually whenever batching shares node fetches.
+    mean per-request cost.  Every batch runs rider by rider, so a batch
+    costs exactly the sum of its riders' accesses, never less.
     """
 
     def __init__(self, latency_window=DEFAULT_LATENCY_WINDOW):

@@ -157,14 +157,6 @@ class Rect:
             total += delta * delta
         return math.sqrt(total)
 
-    def center_distance_sq(self, point: Sequence[float]) -> float:
-        """Squared Euclidean distance from the rect center to ``point``."""
-        total = 0.0
-        for lo, hi, value in zip(self.lows, self.highs, point):
-            delta = (lo + hi) / 2.0 - value
-            total += delta * delta
-        return total
-
     def diagonal(self) -> float:
         """Length of the main diagonal (max pairwise distance inside)."""
         total = 0.0

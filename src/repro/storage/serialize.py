@@ -4,8 +4,7 @@ Two formats:
 
 * **Data sets** — ``save_dataset`` / ``load_dataset`` store the POI
   positions and raw check-in timestamps in a single ``.npz`` archive
-  (exact round trip).  Format version 2 carries a CRC-32 per array;
-  version-1 archives (no checksums) are still read.
+  (exact round trip), format version 2, with a CRC-32 per array.
 * **Trees** — ``save_tree`` / ``load_tree`` store a tree as JSON in
   three sections (format version 3): ``config`` (world, clock,
   strategy, node size, TIA backend, aggregate kind, the ``lambda-hat``
@@ -29,8 +28,8 @@ truncated file raises :class:`CorruptSnapshotError` naming the damaged
 section instead of silently producing a corrupt index; so does a
 ``nodes`` section that passes its CRC but contradicts the ``pois``
 section or the fill bounds.  Any other format version (tree versions 1
-and 2 stored no layout) raises :class:`UnsupportedSnapshotError`, a
-``ValueError``, naming it.
+and 2 stored no layout, data set version 1 no checksums) raises
+:class:`UnsupportedSnapshotError`, a ``ValueError``, naming it.
 
 The optional ``opener`` argument of every function accepts an
 ``open``-compatible callable, which is how the reliability layer's
@@ -48,7 +47,7 @@ from repro.spatial.rstar import Entry
 from repro.temporal.epochs import EpochClock, VariedEpochClock
 
 _DATASET_FORMAT_VERSION = 2
-_DATASET_VERSIONS = (1, 2)
+_DATASET_VERSIONS = (2,)
 _TREE_FORMAT_VERSION = 3
 _TREE_VERSIONS = (3,)
 _TREE_SECTIONS = ("config", "pois", "nodes")
@@ -71,10 +70,12 @@ class UnsupportedSnapshotError(ValueError):
     """A snapshot this build does not read.
 
     Raised for a format version other than the ones this build reads
-    (tree versions 1 and 2 stored no node layout) and for a file of
-    another kind, such as a cluster manifest handed to
-    :func:`load_tree`.  Unlike :class:`CorruptSnapshotError` nothing is
-    damaged; the file needs another reader.
+    (tree versions 1 and 2 stored no node layout, data set version 1 no
+    checksums), for a file of another kind, such as a cluster manifest
+    handed to :func:`load_tree`, and by :mod:`repro.reliability` for a
+    ``<name>.digestlog`` or an intact WAL line that is no known record.
+    Unlike :class:`CorruptSnapshotError` nothing is damaged; the file
+    needs another reader.
     """
 
 
@@ -208,8 +209,7 @@ def load_dataset(path, opener=None):
         with archive_cm as archive:
             version = int(_read_member(archive, "version"))
             _check_version(version, "dataset", _DATASET_VERSIONS)
-            if version >= 2:
-                _verify_dataset_checksums(archive)
+            _verify_dataset_checksums(archive)
             world_values = _read_member(archive, "world")
             world = Rect(world_values[:2], world_values[2:])
             poi_ids = [_plain(v) for v in _read_member(archive, "poi_ids")]

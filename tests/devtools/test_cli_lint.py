@@ -78,11 +78,11 @@ class TestLintCommand:
 
     def test_select_and_ignore(self, tmp_path):
         root = self.write_fixture(tmp_path)
-        code, _ = run(["lint", str(root), "--select", "RT006"])
+        code, _ = run(["lint", str(root), "--select", "RT004"])
         assert code == 0
         code, _ = run(["lint", str(root), "--ignore", "RT003"])
         assert code == 0
-        code, text = run(["lint", str(root), "--select", "RT003,RT006"])
+        code, text = run(["lint", str(root), "--select", "RT003,RT004"])
         assert code == 1
 
     def test_unknown_rule_id_exits_2(self, tmp_path):

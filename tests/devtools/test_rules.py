@@ -731,44 +731,6 @@ class TestGuardedShardDispatch:
         assert findings == []
 
 
-class TestWarnStacklevel:
-    def test_warn_without_stacklevel_fires(self, lint_source):
-        findings = lint_source(
-            "repro/core/mod.py",
-            """
-            import warnings
-
-            def shim():
-                warnings.warn("use the new API", DeprecationWarning)
-            """,
-        )
-        assert rule_ids_of(findings) == ["RT006"]
-
-    def test_warn_with_stacklevel_is_clean(self, lint_source):
-        findings = lint_source(
-            "repro/core/mod.py",
-            """
-            import warnings
-
-            def shim():
-                warnings.warn("use the new API", DeprecationWarning, stacklevel=3)
-            """,
-        )
-        assert findings == []
-
-    def test_suppression(self, lint_source):
-        findings = lint_source(
-            "repro/core/mod.py",
-            """
-            import warnings
-
-            def shim():
-                warnings.warn("boo", DeprecationWarning)  # repro: allow[RT006]
-            """,
-        )
-        assert findings == []
-
-
 class TestLockOrder:
     def test_rank_ascent_fires(self, lint_source):
         # The registry mutex (rank 50) held while taking the advance gate

@@ -18,9 +18,7 @@ from repro.reliability.faults import (
 )
 from repro.reliability.recovery import (
     CheckpointedIngest,
-    DigestLog,
     RetryPolicy,
-    read_digest_log,
     recover,
     robust_knnta,
 )
@@ -32,7 +30,12 @@ from repro.reliability.wal import (
     read_wal,
 )
 from repro.spatial.geometry import Rect
-from repro.storage.serialize import CorruptSnapshotError, load_tree, save_tree
+from repro.storage.serialize import (
+    CorruptSnapshotError,
+    UnsupportedSnapshotError,
+    load_tree,
+    save_tree,
+)
 from repro.temporal.epochs import EpochClock, TimeInterval
 
 
@@ -352,26 +355,36 @@ class TestMutationWAL:
             WalRecord(3, RECORD_DIGEST, [7, [["b", 1, 1]]]),
         ]
 
-    def test_legacy_digest_log_lines_parse_as_digest_records(self, tmp_path):
+    @pytest.mark.parametrize("tail", ["", "0badf00d [3,"], ids=["last", "torn"])
+    @pytest.mark.parametrize(
+        "body",
+        [
+            [2, 3, [["a", 1, 1]]],  # the digest-only log's [seq, epoch, pairs]
+            [2, "rename", ["a", "b"]],  # a record type this build lacks
+        ],
+        ids=["digest-only", "rename"],
+    )
+    def test_foreign_intact_line_refused(self, tmp_path, body, tail):
+        # A complete, CRC-valid line was written whole: cutting it off as
+        # a torn tail would drop a record some writer acked.
         import json
+        import os
         import zlib
 
-        path = str(tmp_path / "x.digestlog")
-        with open(path, "w") as handle:
-            for seq, epoch in ((0, 3), (1, 4)):
-                body = json.dumps(
-                    [seq, epoch, [["a", 1, 1]]], separators=(",", ":")
-                )
-                crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-                handle.write("%08x %s\n" % (crc, body))
-        records, dropped = read_wal(path)
-        assert dropped == 0
-        assert records == [
-            WalRecord(0, RECORD_DIGEST, [3, [["a", 1, 1]]]),
-            WalRecord(1, RECORD_DIGEST, [4, [["a", 1, 1]]]),
-        ]
-        with MutationWAL(path) as log:  # and the LSN sequence continues
-            assert log.log_delete("a") == 2
+        path = str(tmp_path / "x.wal")
+        with MutationWAL(path) as log:
+            log.log_digest(0, [["a", 1, 1]])
+            log.log_delete("a")
+        text = json.dumps(body, separators=(",", ":"))
+        crc = zlib.crc32(text.encode("utf-8"))
+        with open(path, "a") as handle:
+            handle.write("%08x %s\n%s" % (crc, text, tail))
+        size = os.path.getsize(path)
+        with pytest.raises(UnsupportedSnapshotError, match="x.wal line 3"):
+            read_wal(path)
+        with pytest.raises(UnsupportedSnapshotError, match="x.wal line 3"):
+            MutationWAL(path)
+        assert os.path.getsize(path) == size
 
     def test_unrepresentable_poi_id_rejected_before_write(self, tmp_path):
         path = str(tmp_path / "x.wal")
@@ -383,46 +396,6 @@ class TestMutationWAL:
             with pytest.raises(ValueError):
                 log.append("rename", ["a", "b"])
         assert read_wal(path) == ([], 0)
-
-
-class TestDeprecatedDigestLogShims:
-    def test_digest_log_facade_warns_and_works(self, tmp_path):
-        path = str(tmp_path / "x.digestlog")
-        with pytest.warns(DeprecationWarning):
-            log = DigestLog(path)
-        with log:
-            assert log.append(3, [["a", 2, 2]]) == 0
-            assert log.append(4, [["b", 5, 5]]) == 1
-        with pytest.warns(DeprecationWarning):
-            records, dropped = read_digest_log(path)
-        assert dropped == 0
-        assert records == [[0, 3, [["a", 2, 2]]], [1, 4, [["b", 5, 5]]]]
-
-    def test_warnings_point_at_the_caller(self, tmp_path):
-        # RT006's promise: a deprecation warning names the caller's
-        # file, not the shim's.
-        path = str(tmp_path / "x.digestlog")
-        with pytest.warns(DeprecationWarning) as captured:
-            with DigestLog(path):
-                pass
-            read_digest_log(path)
-        origins = [
-            warning.filename
-            for warning in captured
-            if issubclass(warning.category, DeprecationWarning)
-        ]
-        assert origins == [__file__, __file__]
-
-    def test_read_digest_log_ignores_non_digest_records(self, tmp_path):
-        path = str(tmp_path / "x.wal")
-        with MutationWAL(path) as log:
-            log.log_insert("a", 1.0, 2.0)
-            log.log_digest(3, [["a", 2, 2]])
-            log.log_delete("a")
-        with pytest.warns(DeprecationWarning):
-            records, dropped = read_digest_log(path)
-        assert records == [[1, 3, [["a", 2, 2]]]]
-        assert dropped == 0
 
 
 def make_base_snapshot(dataset, directory):
@@ -457,7 +430,7 @@ class TestCheckpointedIngestRecovery:
         self.reference_run(dir_b, batches)  # then "crash" (handle abandoned)
 
         report = recover(dir_b, dataset=small_dataset)
-        assert report.replayed_epochs == len(batches)
+        assert report.replayed[RECORD_DIGEST] == len(batches)
         assert report.dropped_tail_records == 0
         assert report.caught_up_checkins == 0  # the WAL alone was enough
         assert_same_tree(reference, report.tree, tmp_path)
@@ -492,7 +465,7 @@ class TestCheckpointedIngestRecovery:
         assert records[-1].payload[0] == last_epoch  # logged pre-crash
 
         report = recover(dir_b, dataset=small_dataset)
-        assert report.replayed_epochs >= 1
+        assert report.replayed[RECORD_DIGEST] >= 1
         assert report.caught_up_checkins == 0
         assert_same_tree(reference, report.tree, tmp_path)
         query = seeded_workload(reference, n=1, seed=23)[0]
@@ -514,7 +487,7 @@ class TestCheckpointedIngestRecovery:
             handle.truncate()
         report = recover(dir_b, dataset=small_dataset)
         assert report.dropped_tail_records == 1
-        assert report.replayed_epochs == len(batches) - 1
+        assert report.replayed[RECORD_DIGEST] == len(batches) - 1
         assert report.caught_up_checkins > 0
         # The torn record was never acked, so the recovered tree's
         # applied-LSN high-water mark legitimately stops one record
@@ -541,7 +514,7 @@ class TestCheckpointedIngestRecovery:
             handle.truncate()  # crash tears the last record (batches[-2])
         report = recover(dir_b)  # no dataset: torn batch stays pending
         assert report.dropped_tail_records == 1
-        assert report.replayed_epochs == len(batches) - 2
+        assert report.replayed[RECORD_DIGEST] == len(batches) - 2
 
         with CheckpointedIngest(report.tree, dir_b) as ingest:
             for epoch, counts in batches[-2:]:
@@ -596,7 +569,7 @@ class TestCheckpointedIngestRecovery:
             for epoch, counts in batches[2:]:
                 ingest.digest(epoch, counts)
         report = recover(directory, dataset=small_dataset)
-        assert report.replayed_epochs == len(batches) - 2
+        assert report.replayed[RECORD_DIGEST] == len(batches) - 2
         assert_same_tree(tree, report.tree, tmp_path)
 
     def test_crash_between_snapshot_and_truncate_is_harmless(
@@ -613,7 +586,8 @@ class TestCheckpointedIngestRecovery:
                 ingest.digest(epoch, counts)
             ingest._write_snapshot()  # crash before log.truncate()
         report = recover(directory, dataset=small_dataset)
-        assert report.replayed_epochs == 0  # every record replayed as a no-op
+        # every record replayed as a no-op
+        assert report.replayed[RECORD_DIGEST] == 0
         assert report.caught_up_checkins == 0
         assert_same_tree(tree, report.tree, tmp_path)
 

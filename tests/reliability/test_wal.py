@@ -24,7 +24,11 @@ from repro.reliability.wal import (
     MutationWAL,
 )
 from repro.spatial.geometry import Rect
-from repro.storage.serialize import load_tree, save_tree
+from repro.storage.serialize import (
+    UnsupportedSnapshotError,
+    load_tree,
+    save_tree,
+)
 from repro.temporal.epochs import EpochClock
 
 
@@ -215,39 +219,30 @@ class TestWrappedTreeContract:
             assert tree.poi_tia(0).get(10) == 0
 
 
-class TestLegacyDigestLogState:
-    def test_pr1_digestlog_directory_recovers_and_extends(self, tmp_path):
-        # A PR-1 state directory: v-era snapshot (no applied LSN) plus a
-        # digest-only log under the old file name.  recover() must
-        # replay it, and a new CheckpointedIngest must keep appending to
-        # the legacy path rather than forking a second log.
+class TestDigestOnlyLogState:
+    def test_digestlog_directory_is_refused_untouched(self, tmp_path):
+        # The digest-only log that preceded the typed WAL, beside its
+        # snapshot.  Starting an empty tree.wal beside it would drop
+        # every record it holds, so recovery and a new ingest refuse the
+        # directory by name, before any file is created or changed.
         import json
         import zlib
 
-        directory = str(tmp_path / "legacy")
+        directory = str(tmp_path / "old")
         os.makedirs(directory)
         tree = build_tree()
         save_tree(tree, directory + "/tree.json")
+        body = json.dumps([0, 10, [[0, 2, 2]]], separators=(",", ":"))
+        line = "%08x %s\n" % (zlib.crc32(body.encode("utf-8")), body)
         with open(directory + "/tree.digestlog", "w") as handle:
-            for seq, (epoch, pairs) in enumerate(
-                [(10, [[0, 2, tree.poi_tia(0).get(10) + 2]]),
-                 (11, [[1, 3, tree.poi_tia(1).get(11) + 3]])]
-            ):
-                body = json.dumps([seq, epoch, pairs], separators=(",", ":"))
-                crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-                handle.write("%08x %s\n" % (crc, body))
-        report = recover(directory)
-        assert report.replayed[RECORD_DIGEST] == 2
-        assert report.tree.poi_tia(0).get(10) == 2
-        assert report.last_lsn == 1
-
-        with CheckpointedIngest(report.tree, directory) as ingest:
-            assert ingest.log_path.endswith(".digestlog")
-            ingest.digest(12, {2: 1})
-        assert not os.path.exists(directory + "/tree.wal")
-        final = recover(directory)
-        # the snapshot predates every record (no applied LSN), so all
-        # three digests replay — idempotently — onto it
-        assert final.replayed[RECORD_DIGEST] == 3
-        assert final.tree.poi_tia(0).get(10) == 2
-        assert final.tree.poi_tia(2).get(12) == 1
+            handle.write(line)
+        with pytest.raises(UnsupportedSnapshotError, match="tree.digestlog"):
+            recover(directory)
+        with pytest.raises(UnsupportedSnapshotError, match="tree.digestlog"):
+            CheckpointedIngest(tree, directory)
+        assert sorted(os.listdir(directory)) == ["tree.digestlog", "tree.json"]
+        with open(directory + "/tree.digestlog") as handle:
+            assert handle.read() == line
+        # The refused ingest never attached itself to the tree.
+        with CheckpointedIngest(tree, str(tmp_path / "fresh")):
+            pass

@@ -96,10 +96,10 @@ class TestDatasetCorruption:
         arrays["version"] = np.int64(99)
         with open(path, "wb") as handle:
             np.savez_compressed(handle, **arrays)
-        with pytest.raises(ValueError, match="versions 1, 2"):
+        with pytest.raises(ValueError, match="this build reads version 2$"):
             load_dataset(path)
 
-    def test_legacy_v1_archive_still_loads(self, dataset, tmp_path):
+    def test_checksumless_v1_archive_is_refused(self, dataset, tmp_path):
         path = tmp_path / "d.npz"
         save_dataset(dataset, path)
         with np.load(path, allow_pickle=False) as archive:
@@ -109,9 +109,11 @@ class TestDatasetCorruption:
         del arrays["checksum_values"]
         with open(path, "wb") as handle:
             np.savez_compressed(handle, **arrays)
-        loaded = load_dataset(path)
-        assert loaded.positions == dataset.positions
-        assert loaded.name == dataset.name
+        with pytest.raises(
+            UnsupportedSnapshotError,
+            match="dataset format version 1; this build reads version 2$",
+        ):
+            load_dataset(path)
 
 
 class TestTreeCorruption:

@@ -445,6 +445,51 @@ class TestRecover:
         assert "'wal'" in output
 
 
+#: Every command that reads a data set archive: {data} is the archive,
+#: {tree} a tree file and {out} an empty directory.
+DATASET_COMMANDS = {
+    "fit": "fit {data}",
+    "build": "build {data} --out {out}/t.json",
+    "watch": "watch {tree} --x 1 --y 1 --window 2 --dataset {data}",
+    "verify": "verify {tree} --dataset {data}",
+    "recover": "recover {out} --dataset {data}",
+    "shard": "shard {data} --shards 2 --out {out}/c",
+}
+
+
+class TestDatasetArchives:
+    @pytest.fixture(scope="class")
+    def bad_archives(self, dataset_file, tmp_path_factory):
+        import numpy as np
+
+        directory = tmp_path_factory.mktemp("bad-archives")
+        (directory / "corrupt.npz").write_bytes(b"\x00" * 64)
+        with np.load(dataset_file, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        np.savez_compressed(directory / "v99.npz", **dict(arrays, version=99))
+        return {  # archive and expected message per fault
+            "corrupt": ("corrupt.npz", "corrupt dataset snapshot"),
+            "version-99": ("v99.npz", "version 99; this build reads version 2"),
+            "missing": ("nope.npz", "cannot read dataset snapshot"),
+        }, directory
+
+    @pytest.mark.parametrize("fault", ["corrupt", "version-99", "missing"])
+    @pytest.mark.parametrize("command", sorted(DATASET_COMMANDS))
+    def test_bad_archive_exits_two_with_one_line(
+        self, command, fault, bad_archives, tree_file, tmp_path
+    ):
+        faults, directory = bad_archives
+        name, message = faults[fault]
+        code, output = run_cli([
+            arg.format(data=directory / name, tree=tree_file, out=tmp_path)
+            for arg in DATASET_COMMANDS[command].split()
+        ])
+        assert code == 2
+        assert message in output
+        assert len(output.splitlines()) == 1, output
+        assert list(tmp_path.iterdir()) == []  # refused before any write
+
+
 class TestServe:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["serve", "t.json"])

@@ -118,6 +118,15 @@ def test_version_string():
     assert all(part.isdigit() for part in parts)
 
 
+def test_distribution_metadata_matches_the_package():
+    # Build metadata left beside the sources (a stale src/repro.egg-info)
+    # would report another version and Python floor than the package.
+    from importlib import metadata
+
+    found = {d.version for d in metadata.distributions() if d.name == "repro"}
+    assert found <= {repro.__version__}, found
+
+
 def test_subpackages_importable():
     import repro.analysis
     import repro.cli
@@ -191,7 +200,6 @@ class TestDevtoolsSurface:
             "RT003",
             "RT004",
             "RT005",
-            "RT006",
             "RT007",
             "RT008",
             "RT009",
