@@ -8,7 +8,12 @@ only down to the running k-th score, so its node accesses fall too.
 This benchmark sweeps 1/2/4/8 shards over two workloads, asserts
 exactness everywhere plus an average of at least one shard pruned per
 selective query from four shards up, and emits the series, stamped
-with the host, as ``BENCH_cluster.json`` for CI trend tracking.
+with the host, as ``BENCH_cluster.json`` for CI trend tracking.  Each
+shard count runs twice: sequentially (``parallelism`` 1, the
+in-process default) and with ``parallelism`` equal to the shard count
+(the worker-cluster default), where every wave of the two-wave scatter
+goes out at once and a shard is cut at the k-th score its query's
+best-bound shard left; the pruning bar holds there too.
 
 The dataset is NYC at the harness scale (``BENCH_SCALES``: 510
 effective POIs).  Every shard is then two levels deep, so a cut shard
@@ -50,8 +55,10 @@ def get_single_tree():
 
 
 @functools.lru_cache(maxsize=None)
-def get_cluster(num_shards):
-    return ClusterTree.build(get_data(), num_shards=num_shards)
+def get_cluster(num_shards, parallelism=1):
+    return ClusterTree.build(
+        get_data(), num_shards=num_shards, parallelism=parallelism
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -94,27 +101,51 @@ def run_workload(cluster, workload):
 
 def test_cluster_scaling_prunes_shards(benchmark):
     rows = {name: [] for name in WORKLOADS}
+    parallel_rows = {name: [] for name in WORKLOADS}
     pruned_series = {name: [] for name in WORKLOADS}
     nodes_series = {name: [] for name in WORKLOADS}
+    parallel_series = {
+        "selective pruned": [],
+        "selective nodes": [],
+        "broad nodes": [],
+    }
 
     for num_shards in SHARD_COUNTS:
-        cluster = get_cluster(num_shards)
-        for workload in WORKLOADS:
-            answers, metrics = run_workload(cluster, workload)
-            # Exactness first: sharding must never change an answer.
-            assert answers == expected_answers(workload), (
-                "%s workload diverged at %d shards" % (workload, num_shards)
-            )
-            if workload == "selective" and num_shards >= 4:
-                # The acceptance bar: the bound skips at least one whole
-                # shard per selective query on average.
-                assert metrics["shards_pruned_avg"] >= 1.0, (
-                    "no pruning win at %d shards: %.2f pruned/query"
-                    % (num_shards, metrics["shards_pruned_avg"])
+        for parallel in (False, True):
+            parallelism = num_shards if parallel else 1
+            cluster = get_cluster(num_shards, parallelism)
+            for workload in WORKLOADS:
+                answers, metrics = run_workload(cluster, workload)
+                # Exactness first: sharding must never change an answer.
+                assert answers == expected_answers(workload), (
+                    "%s workload diverged at %d shards, parallelism %d"
+                    % (workload, num_shards, parallelism)
                 )
-            rows[workload].append(dict(metrics, shards=num_shards))
-            pruned_series[workload].append(metrics["shards_pruned_avg"])
-            nodes_series[workload].append(metrics["node_accesses_per_query"])
+                if workload == "selective" and num_shards >= 4:
+                    # The acceptance bar: the bound skips at least one
+                    # whole shard per selective query on average, at
+                    # either dispatch.
+                    assert metrics["shards_pruned_avg"] >= 1.0, (
+                        "no pruning win at %d shards, parallelism %d: "
+                        "%.2f pruned/query"
+                        % (num_shards, parallelism, metrics["shards_pruned_avg"])
+                    )
+                row = dict(metrics, shards=num_shards, parallelism=parallelism)
+                if not parallel:
+                    rows[workload].append(row)
+                    pruned_series[workload].append(metrics["shards_pruned_avg"])
+                    nodes_series[workload].append(
+                        metrics["node_accesses_per_query"]
+                    )
+                else:
+                    parallel_rows[workload].append(row)
+                    parallel_series["%s nodes" % workload].append(
+                        metrics["node_accesses_per_query"]
+                    )
+                    if workload == "selective":
+                        parallel_series["selective pruned"].append(
+                            metrics["shards_pruned_avg"]
+                        )
 
     print_series(
         "Cluster scatter-gather (%s x%g): shards pruned per query"
@@ -132,6 +163,14 @@ def test_cluster_scaling_prunes_shards(benchmark):
         nodes_series,
         fmt="%10.1f",
     )
+    print_series(
+        "Cluster scatter-gather (%s x%g), parallelism = #shards: pruned "
+        "shards and node accesses per query" % (DATASET, SCALE),
+        "#shards",
+        SHARD_COUNTS,
+        parallel_series,
+        fmt="%10.2f",
+    )
 
     write_bench(
         "cluster",
@@ -141,6 +180,7 @@ def test_cluster_scaling_prunes_shards(benchmark):
             "n_queries": N_QUERIES,
             "workload_params": WORKLOADS,
             "workloads": rows,
+            "workloads_parallel": parallel_rows,
         },
     )
 

@@ -22,9 +22,11 @@ coordinators at 4 and 8 shards, asserting:
   emitted JSON records the host's core count and whether the bar was
   enforced, so trend tracking never mistakes a skipped bar for a met
   one);
-* bound pruning — with sequential dispatch the coordinator's
-  shards-contacted counters show whole shards skipped per selective
-  query without a byte read from their workers.
+* bound pruning — the coordinator's shards-contacted counters show
+  whole shards skipped per selective query without a byte read from
+  their workers, both at the worker cluster's default parallelism
+  (the worker count: each wave of the two-wave scatter goes out at
+  once) and with sequential dispatch.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the fixture.  The series is emitted as
 ``BENCH_workers.json`` for CI trend tracking.
@@ -117,7 +119,12 @@ def test_worker_processes_beat_inprocess_under_concurrent_load(tmp_path):
     selective_oracle = expected_answers(**SELECTIVE)
     rows = []
     speedup_series = {"speedup": []}
-    contact_series = {"visited/query": [], "pruned/query": []}
+    contact_series = {
+        "visited/query": [],
+        "pruned/query": [],
+        "parallel visited/query": [],
+        "parallel pruned/query": [],
+    }
 
     for num_shards in SHARD_COUNTS:
         inproc = ClusterTree.build(
@@ -153,27 +160,37 @@ def test_worker_processes_beat_inprocess_under_concurrent_load(tmp_path):
                 )
                 rounds.append(timings)
 
-            # Pruning proof: sequential dispatch orders shards by bound
-            # and stops at the first that cannot beat the running k-th
-            # score, so the contact counters are the certificate.
-            remote.parallelism = 1
-            before = remote.counters()
-            for index, query in enumerate(selective_queries):
-                answer = [tuple(row) for row in remote.query(query)]
-                assert answer == selective_oracle[index]
-            counters = remote.counters()
-            visited = counters["shards.visited"] - before["shards.visited"]
-            pruned = counters["shards.pruned"] - before["shards.pruned"]
-            assert visited + pruned == num_shards * len(selective_queries)
-            assert pruned > 0, (
-                "the bound pruned nothing at %d shards" % num_shards
-            )
+            # Pruning proof, at the default parallelism (the worker
+            # count) and sequentially: wave 2 skips every shard whose
+            # bound cannot beat the k-th score held at dispatch, so the
+            # contact counters are the certificate.
+            contacts = {}
+            for mode, parallelism in (
+                ("parallel", remote.parallelism),
+                ("sequential", 1),
+            ):
+                remote.parallelism = parallelism
+                before = remote.counters()
+                for index, query in enumerate(selective_queries):
+                    answer = [tuple(row) for row in remote.query(query)]
+                    assert answer == selective_oracle[index]
+                counters = remote.counters()
+                visited = counters["shards.visited"] - before["shards.visited"]
+                pruned = counters["shards.pruned"] - before["shards.pruned"]
+                assert visited + pruned == num_shards * len(selective_queries)
+                assert pruned > 0, (
+                    "the bound pruned nothing at %d shards, parallelism %d"
+                    % (num_shards, parallelism)
+                )
+                contacts[mode] = (visited, pruned)
         finally:
             remote.close()
         inproc.close()
 
         speedup = statistics.median(r["speedup"] for r in rounds)
         n = float(len(selective_queries))
+        parallel_visited, parallel_pruned = contacts["parallel"]
+        visited, pruned = contacts["sequential"]
         rows.append(
             {
                 "shards": num_shards,
@@ -187,11 +204,15 @@ def test_worker_processes_beat_inprocess_under_concurrent_load(tmp_path):
                 "speedup": speedup,
                 "selective_visited_per_query": visited / n,
                 "selective_pruned_per_query": pruned / n,
+                "selective_parallel_visited_per_query": parallel_visited / n,
+                "selective_parallel_pruned_per_query": parallel_pruned / n,
             }
         )
         speedup_series["speedup"].append(speedup)
         contact_series["visited/query"].append(visited / n)
         contact_series["pruned/query"].append(pruned / n)
+        contact_series["parallel visited/query"].append(parallel_visited / n)
+        contact_series["parallel pruned/query"].append(parallel_pruned / n)
 
     print_series(
         "Worker processes vs in-process (%s x%g, %d queries x%d threads): "
@@ -204,7 +225,8 @@ def test_worker_processes_beat_inprocess_under_concurrent_load(tmp_path):
     )
     print_series(
         "Selective workload (k=%(k)d, alpha0=%(alpha0).2f): shards "
-        "contacted per query (sequential dispatch)" % SELECTIVE,
+        "contacted per query (sequential, and parallelism = #workers)"
+        % SELECTIVE,
         "#shards",
         SHARD_COUNTS,
         contact_series,

@@ -268,7 +268,8 @@ def build_parser():
             "directory written by 'shard': every shard recovers from "
             "its own WAL and queries run the scatter-gather coordinator "
             "(see docs/CLUSTER.md); with --shard-workers as well, any "
-            "queued queries share a batch, one frame per worker."
+            "queued queries share a batch, at most two frames per "
+            "worker."
         ),
     )
     serve.add_argument(

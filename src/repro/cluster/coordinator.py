@@ -27,13 +27,16 @@ equals the single-tree answer, score for score):
    distance, the shard's root aggregate bound over-estimates every
    aggregate), so once the running k-th result's score is at or below
    a shard's bound, that shard cannot contribute and is skipped —
-   the threshold-style early termination of the scatter-gather.  A
-   shard that is visited gets the running k-th score as its search's
-   inclusive ``cutoff``: a row scoring above it cannot enter the
-   top-k, so the shard search stops where nothing at or below it is
-   left, and returns exactly its uncut answer's rows up to the cutoff
-   (rows scoring exactly the cutoff still come back: ties break on
-   shard index in the merge).
+   the threshold-style early termination of the scatter-gather.  The
+   scatter runs in two waves: each query first searches its best-bound
+   shard uncut, then every other shard whose bound is still below its
+   running k-th score, with that score as the search's inclusive
+   ``cutoff``.  A row scoring above it cannot enter the top-k, so the
+   shard search stops where nothing at or below it is left, and
+   returns exactly its uncut answer's rows up to the cutoff (rows
+   scoring exactly the cutoff still come back: ties break on shard
+   index in the merge).  A batch of queries takes the same two waves,
+   each query with its own bounds, k-th score and cutoffs.
 
 Mutations route to the owning shard by the plan.  An in-process shard
 with a :class:`~repro.reliability.recovery.CheckpointedIngest` logs the
@@ -68,7 +71,6 @@ import math
 import os
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from functools import partial
 from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
@@ -132,6 +134,9 @@ _ROW_ORDER = itemgetter(0, 1, 2)
 #: ``(interval, semantics)`` -> the cluster normaliser for that key.
 Normalizers = Mapping[tuple[TimeInterval, IntervalSemantics], Normalizer]
 
+#: One endpoint ``batch`` call's outcome: rows per rider, node accesses.
+_Outcome = tuple[Sequence[Sequence[QueryResult]], AccessStats]
+
 
 class ClusterStateError(RuntimeError):
     """A durable-state operation on a cluster that has none attached."""
@@ -156,11 +161,11 @@ class ShardEndpoint(Protocol):
     endpoint checks the guard's ``token`` once it holds the shard lock,
     so a call abandoned at its deadline never applies late.  The
     mutations and ``describe`` keep ``descriptor`` (the pruning-bound
-    state) in step with the shard.  ``query``/``batch`` return the
-    call's node accesses beside the rows, and ``query`` drops every row
-    scoring above its inclusive ``cutoff`` (``TARTree.query``);
-    ``reopen`` recovers a fresh endpoint that ``adopt`` cuts over to
-    unless :func:`check_cutover` refuses.
+    state) in step with the shard.  ``batch`` answers every query
+    under one shard snapshot, each cut at its inclusive ``cutoffs``
+    entry (``TARTree.query_batch``), and returns the call's node
+    accesses beside the rows; ``reopen`` recovers a fresh endpoint that
+    ``adopt`` cuts over to unless :func:`check_cutover` refuses.
     """
 
     index: int
@@ -174,15 +179,12 @@ class ShardEndpoint(Protocol):
 
     def identity(self) -> tuple[Rect, EpochClock, AggregateKind]: ...
 
-    def query(
+    def batch(
         self,
         token: CallToken,
-        query: KNNTAQuery,
-        normalizer: Normalizer,
-        cutoff: float,
-    ) -> tuple[list[QueryResult], AccessStats]: ...
-    def batch(
-        self, token: CallToken, queries: Sequence[KNNTAQuery], normalizers: Normalizers
+        queries: Sequence[KNNTAQuery],
+        normalizers: Normalizers,
+        cutoffs: Sequence[float],
     ) -> tuple[Sequence[Sequence[QueryResult]], AccessStats]: ...
     def insert(
         self, token: CallToken, poi: POI, aggregates: Mapping[int, int] | None
@@ -240,29 +242,17 @@ class Shard:
 
     # -- reads -------------------------------------------------------------
 
-    def query(
-        self,
-        token: CallToken,
-        query: KNNTAQuery,
-        normalizer: Normalizer,
-        cutoff: float,
-    ) -> tuple[list[QueryResult], AccessStats]:
-        stats = AccessStats()
-        with self.lock.read_locked():
-            token.check()
-            results = self.tree.query(query, normalizer, stats, cutoff)
-        return results, stats
-
     def batch(
         self,
         token: CallToken,
         queries: Sequence[KNNTAQuery],
         normalizers: Normalizers,
+        cutoffs: Sequence[float],
     ) -> tuple[list[RankedAnswer], AccessStats]:
         stats = AccessStats()
         with self.lock.read_locked():
             token.check()
-            lists = self.tree.query_batch(queries, normalizers, stats)
+            lists = self.tree.query_batch(queries, normalizers, stats, cutoffs)
         return lists, stats
 
     def contains(self, poi_id: Any) -> bool:
@@ -394,14 +384,16 @@ class Shard:
 
 
 class _Gathered(NamedTuple):
-    """One query's scatter-gather outcome (see ``ClusterTree._scatter``)."""
+    """A scatter-gather outcome (see ``ClusterTree._scatter``): each
+    rider's top-k beside the missed shards that block its exactness,
+    the node accesses per visited shard, and the shard counts summed
+    over the riders."""
 
-    top: list[QueryResult]
+    answers: list[tuple[list[QueryResult], dict[int, float]]]
     per_shard: dict[int, AccessStats]
     visited: int
     pruned: int
     failed: int
-    blocking: dict[int, float]
     shards: int
 
 
@@ -440,8 +432,8 @@ class ClusterTree(Generic[_Endpoint]):
     :func:`~repro.cluster.state.open_cluster`) or worker processes
     (:class:`~repro.cluster.remote.RemoteClusterTree`).  ``parallelism``
     > 1 keeps that many shard calls in flight on one long-lived thread
-    pool, best-bound-first; 1 visits shards inline in bound order, which
-    is deterministic and prunes identically.
+    pool, in the two waves of :meth:`_scatter`; 1 visits shards inline
+    in bound order, which is deterministic.
 
     Running totals: ``queries``, ``shards_visited``, ``shards_pruned``
     (shards never dispatched because the k-th result already beat their
@@ -457,10 +449,11 @@ class ClusterTree(Generic[_Endpoint]):
     is_cluster = True
 
     #: Whether the service may coalesce queued queries whatever their
-    #: interval into one :meth:`query_batch`.  Not in process: a single
-    #: query prunes shards by bound while a batch visits every shard,
-    #: so a mixed batch costs more CPU per query than its riders alone
-    #: (docs/SERVICE.md, "Micro-batching semantics").
+    #: interval into one :meth:`query_batch`.  Not in process: there no
+    #: frame is paid, so coalescing saves only per-call overhead, and
+    #: the in-process cluster stays the transport-free control that the
+    #: worker cluster is measured against (docs/SERVICE.md,
+    #: "Micro-batching semantics").
     coalesce_any_interval = False
 
     def __init__(
@@ -837,11 +830,10 @@ class ClusterTree(Generic[_Endpoint]):
         missed shard ids and the tight score bound.
         """
         with self._routing.read_locked():
-            gathered = self._scatter(query, normalizer)
+            gathered = self._scatter([query], normalizer)
         self._account(gathered.per_shard.values(), stats)
-        return self._resolve(
-            gathered.top, gathered.blocking, allow_degraded, gathered.shards
-        )
+        ((top, blocking),) = gathered.answers
+        return self._resolve(top, blocking, allow_degraded, gathered.shards)
 
     def explain(
         self,
@@ -862,22 +854,21 @@ class ClusterTree(Generic[_Endpoint]):
         :meth:`AccessStats.as_dict` keys.
         """
         with self._routing.read_locked():
-            gathered = self._scatter(query, normalizer)
+            gathered = self._scatter([query], normalizer)
             down = _down(self._guards)
+        ((top, blocking),) = gathered.answers
         cost: dict[str, int] = {
             "shards": gathered.shards,
             "shards.visited": gathered.visited,
             "shards.pruned": gathered.pruned,
             "shards.failed": gathered.failed,
-            "shards.certified": gathered.failed - len(gathered.blocking),
+            "shards.certified": gathered.failed - len(blocking),
             "shards.down": down,
         }
         for index, shard_stats in sorted(gathered.per_shard.items()):
             cost.update(shard_stats.as_dict(label="shards.%d" % index))
         cost.update(self._account(gathered.per_shard.values()).as_dict())
-        answer = self._resolve(
-            gathered.top, gathered.blocking, allow_degraded, gathered.shards
-        )
+        answer = self._resolve(top, blocking, allow_degraded, gathered.shards)
         return answer, cost
 
     def query_batch(
@@ -886,14 +877,16 @@ class ClusterTree(Generic[_Endpoint]):
         stats: AccessStats | None = None,
         allow_degraded: bool | None = None,
     ) -> list[RankedAnswer | DegradedAnswer]:
-        """Answer a batch: one batch call per shard, full merge.
+        """Answer a batch: at most two batch calls per shard, per-rider merge.
 
-        Every non-empty shard runs the whole batch under one shard
-        snapshot (:meth:`~repro.core.tar_tree.TARTree.query_batch`, one
-        search per rider), with the cluster-level normalisers pushed
-        down; per-query results merge deterministically.  Batches visit
-        every shard whose descriptor holds a POI — the per-query pruning
-        bound does not compose across a whole batch.
+        The riders take :meth:`query`'s two-wave scatter together
+        (:meth:`_scatter`), each with the cluster normaliser of its
+        interval, its own shard bounds and its own running k-th score,
+        so a rider prunes and cuts shards exactly as far as when asked
+        alone at ``parallelism`` equal to the shard count.  Each shard
+        runs the riders of one call under one shard snapshot
+        (:meth:`~repro.core.tar_tree.TARTree.query_batch`, one search per
+        rider); per-query results merge deterministically.
 
         A shard failing out of the dispatch degrades *per rider*: each
         answer is certified on its own bound (the missed shard's
@@ -901,69 +894,12 @@ class ClusterTree(Generic[_Endpoint]):
         each certified rider counts once in ``certified_exact``, and
         only the rest degrade (or raise, under the strict default).
         """
-        for query in queries:
-            query.validate()
-        merged: list[list[_Row]] = [[] for _ in queries]
-        per_shard: list[AccessStats] = []
-        visited: list[int] = []
-
-        def absorb(
-            index: int,
-            outcome: tuple[Sequence[Sequence[QueryResult]], AccessStats],
-        ) -> None:
-            lists, shard_stats = outcome
-            visited.append(index)
-            per_shard.append(shard_stats)
-            for rows, results in zip(merged, lists):
-                rows.extend(
-                    (result.score, index, position, result)
-                    for position, result in enumerate(results)
-                )
-
         with self._routing.read_locked():
-            normalizers: dict[tuple[TimeInterval, IntervalSemantics], Normalizer] = {}
-            for query in queries:
-                key = (query.interval, query.semantics)
-                if key not in normalizers:
-                    normalizers[key] = self._normalizer(*key)
-            failed, _ = self._gather(
-                [
-                    shard.index
-                    for shard in self.shards
-                    if self._descriptor(shard).mbr is not None
-                ],
-                lambda index, _cutoff: self._guards[index].call(
-                    "query",
-                    lambda token: self.shards[index].batch(token, queries, normalizers),
-                ),
-                absorb,
-            )
-            resolved: list[tuple[list[QueryResult], dict[int, float]]] = []
-            certified = 0
-            for query, rows in zip(queries, merged):
-                normalizer = normalizers[(query.interval, query.semantics)]
-                missed: dict[int, float] = {}
-                for index in failed:
-                    bound = self.shards[index].descriptor.bound(
-                        query, normalizer, self.clock, self.aggregate_kind
-                    )
-                    if bound is not None:
-                        missed[index] = bound
-                top, blocking = _certify(rows, query.k, missed)
-                if missed and not blocking:
-                    certified += 1
-                resolved.append((top, blocking))
-            shard_count = len(self.shards)
-        self._account(per_shard, stats)
-        # Every rider searched each visited shard and missed each failed
-        # one: count both per rider, as ``queries`` and ``certified`` are.
-        riders = len(queries)
-        self._count(
-            riders, riders * len(visited), 0, riders * len(failed), certified
-        )
+            gathered = self._scatter(queries)
+        self._account(gathered.per_shard.values(), stats)
         return [
-            self._resolve(top, blocking, allow_degraded, shard_count)
-            for top, blocking in resolved
+            self._resolve(top, blocking, allow_degraded, gathered.shards)
+            for top, blocking in gathered.answers
         ]
 
     def _shard_bound(
@@ -983,87 +919,164 @@ class ClusterTree(Generic[_Endpoint]):
             query, normalizer, self.clock, self.aggregate_kind
         )
 
-    def _scatter(self, query: KNNTAQuery, normalizer: Normalizer | None) -> _Gathered:
-        """The bound-pruned scatter-gather (routing read lock held).
+    def _scatter(
+        self, queries: Sequence[KNNTAQuery], normalizer: Normalizer | None = None
+    ) -> _Gathered:
+        """The two-wave, bound-pruned scatter-gather (routing read lock
+        held) behind :meth:`query`, :meth:`explain` and
+        :meth:`query_batch`.
 
-        Rows are ``(score, shard index, within-shard rank, result)``,
-        kept sorted — ties (probability zero on continuous data) break
-        toward the lower shard index, matching the batch merge.  Each
-        visited shard's search is cut at the running k-th score known
-        when it is dispatched (module docs, property 3).  Shards that
-        fail out of the dispatch go through :func:`_certify`.
+        Each rider is normalised by ``normalizer``, else by the cluster
+        normaliser of its interval.  Wave 1 sends every rider to its
+        best-bound shard uncut, one ``batch`` call per shard.  Wave 2
+        then takes every other non-empty shard in order of its lowest
+        rider bound, and just before the shard goes out decides each
+        rider still owed it: a bound at or above the rider's running
+        k-th score prunes the shard for that rider, otherwise the rider
+        rides along cut at that score (module docs, property 3).  So at
+        ``parallelism`` 1 a lone query visits its shards
+        best-bound-first, each cut at the k-th score held when it goes
+        out.  A shard that fails is missed by the riders of its call
+        and never called again: riders still owed a shard that failed
+        in wave 1 prune it or miss it by the same rule.  Missed shards
+        go through :func:`_certify`.  Rows are ``(score, shard index,
+        within-shard rank, result)``: ties (probability zero on
+        continuous data) break toward the lower shard index.
         """
-        query.validate()
-        push = (
-            normalizer
-            if normalizer is not None
-            else self._normalizer(query.interval, query.semantics)
-        )
-        bound_of: dict[int, float] = {}
-        for shard in self.shards:
-            bound = self._shard_bound(shard, query, push)
-            if bound is not None:
-                bound_of[shard.index] = bound
-        rows: list[_Row] = []
+        normalizers: dict[tuple[TimeInterval, IntervalSemantics], Normalizer] = {}
+        bounds: list[dict[int, float]] = []
+        for query in queries:
+            query.validate()
+            key = (query.interval, query.semantics)
+            push = normalizers.get(key)
+            if push is None:
+                push = normalizers[key] = (
+                    normalizer if normalizer is not None else self._normalizer(*key)
+                )
+            bound_of: dict[int, float] = {}
+            for shard in self.shards:
+                bound = self._shard_bound(shard, query, push)
+                if bound is not None:
+                    bound_of[shard.index] = bound
+            bounds.append(bound_of)
+        # Shard -> its riders: wave 1 calls each rider's best-bound
+        # shard, wave 2 decides the rest shard by shard, in order of the
+        # lowest bound a rider owed the shard has there.
+        first: dict[int, list[int]] = {}
+        owed: dict[int, list[int]] = {}
+        lowest: dict[int, float] = {}
+        for rider, bound_of in enumerate(bounds):
+            best = min(bound_of, key=bound_of.__getitem__, default=None)
+            for index, bound in bound_of.items():
+                if index == best:
+                    first.setdefault(index, []).append(rider)
+                else:
+                    owed.setdefault(index, []).append(rider)
+                    if bound < lowest.get(index, math.inf):
+                        lowest[index] = bound
+        rows: list[list[_Row]] = [[] for _ in queries]
+        missed: list[dict[int, float]] = [{} for _ in queries]
         per_shard: dict[int, AccessStats] = {}
-        visited: list[int] = []
+        carried: dict[int, list[int]] = {}  # shard -> riders of its last call
+        down: set[int] = set()
+        visited = pruned = 0
 
-        def cutoff(index: int) -> float | None:
-            kth = rows[query.k - 1][0] if len(rows) >= query.k else math.inf
-            return None if bound_of[index] >= kth else kth
+        def kth(rider: int) -> float:
+            held, k = rows[rider], queries[rider].k
+            if len(held) < k:
+                return math.inf
+            held.sort(key=_ROW_ORDER)
+            return held[k - 1][0]
 
-        def absorb(
-            index: int, answer: tuple[list[QueryResult], AccessStats]
-        ) -> None:
-            results, shard_stats = answer
-            visited.append(index)
-            per_shard[index] = shard_stats
-            rows.extend(
-                (result.score, index, position, result)
-                for position, result in enumerate(results)
-            )
-            rows.sort(key=_ROW_ORDER)
-
-        failed, pruned = self._gather(
-            sorted(bound_of, key=lambda index: (bound_of[index], index)),
-            lambda index, kth: self._guards[index].call(
+        def call(
+            index: int, riders: list[int], cutoffs: list[float]
+        ) -> Callable[[], _Outcome]:
+            carried[index] = riders
+            batch = [queries[rider] for rider in riders]
+            return lambda: self._guards[index].call(
                 "query",
-                lambda token: self.shards[index].query(token, query, push, kth),
-            ),
+                lambda token: self.shards[index].batch(
+                    token, batch, normalizers, cutoffs
+                ),
+            )
+
+        def absorb(index: int, outcome: _Outcome) -> None:
+            nonlocal visited
+            lists, shard_stats = outcome
+            riders = carried[index]
+            visited += len(riders)
+            if index in per_shard:
+                per_shard[index].merge(shard_stats)
+            else:
+                per_shard[index] = shard_stats
+            for rider, results in zip(riders, lists):
+                rows[rider].extend(
+                    (result.score, index, position, result)
+                    for position, result in enumerate(results)
+                )
+
+        def fail(index: int) -> None:
+            down.add(index)
+            for rider in carried[index]:
+                missed[rider][index] = bounds[rider][index]
+
+        def second(index: int) -> Callable[[], _Outcome] | None:
+            nonlocal pruned
+            riders: list[int] = []
+            cutoffs: list[float] = []
+            for rider in owed[index]:
+                bound, limit = bounds[rider][index], kth(rider)
+                if bound >= limit:
+                    pruned += 1
+                elif index in down:
+                    missed[rider][index] = bound
+                else:
+                    riders.append(rider)
+                    cutoffs.append(limit)
+            return call(index, riders, cutoffs) if riders else None
+
+        self._gather(
+            sorted(first),
+            lambda index: call(index, first[index], [math.inf] * len(first[index])),
             absorb,
-            cutoff,
+            fail,
         )
-        missed = {index: bound_of[index] for index in failed}
-        top, blocking = _certify(rows, query.k, missed)
-        self._count(
-            1, len(visited), pruned, len(missed), int(bool(missed) and not blocking)
+        self._gather(
+            sorted(owed, key=lambda index: (lowest[index], index)),
+            second,
+            absorb,
+            fail,
         )
+        answers: list[tuple[list[QueryResult], dict[int, float]]] = []
+        failed = certified = 0
+        for query, held, lost in zip(queries, rows, missed):
+            top, blocking = _certify(held, query.k, lost)
+            failed += len(lost)
+            certified += bool(lost) and not blocking
+            answers.append((top, blocking))
+        self._count(len(queries), visited, pruned, failed, certified)
         return _Gathered(
-            top, per_shard, len(visited), pruned, len(missed), blocking,
-            len(self.shards),
+            answers, per_shard, visited, pruned, failed, len(self.shards)
         )
 
     def _gather(
         self,
-        order: Sequence[int],
-        call: Callable[[int, float], _T],
+        order: Iterable[int],
+        dispatch: Callable[[int], Callable[[], _T] | None],
         absorb: Callable[[int, _T], None],
-        cutoff: Callable[[int], float | None] | None = None,
-    ) -> tuple[list[int], int]:
-        """The one scatter loop: ``call(index, cutoff)`` per shard in
-        ``order``, at most ``parallelism`` in flight (inline at 1, else
-        on the cluster executor), each outcome absorbed here as it
-        lands.  ``cutoff(index)`` runs here, on the dispatching thread
-        that absorbs, just before shard ``index`` is dispatched: it
-        returns the score the shard's search is cut at (``math.inf``
-        without it), or ``None`` once the shard is pruned — then it and
-        the rest of the (bound-sorted) order are skipped.  Returns
-        ``(failed shards, pruned count)``; a caller error propagates.
+        fail: Callable[[int], None],
+    ) -> None:
+        """The one scatter loop: ``dispatch(index)`` per shard in
+        ``order`` returns the shard's call, or ``None`` to skip the
+        shard; at most ``parallelism`` calls are in flight (inline at 1,
+        else on the cluster executor).  ``dispatch`` runs here, on the
+        thread that absorbs, just before its call goes out, so it reads
+        every outcome absorbed so far.  Each outcome goes to ``absorb``,
+        or, for a shard that failed out of its call, the shard index to
+        ``fail``; a caller error propagates.
         """
         queue = deque(order)
         pending: dict[Future[_T], int] = {}
-        failed: list[int] = []
-        pruned = 0
 
         def settle(index: int, outcome: Callable[[], _T]) -> None:
             try:
@@ -1071,7 +1084,7 @@ class ClusterTree(Generic[_Endpoint]):
             except Exception as exc:
                 if classify_error(exc) == CALLER:
                     raise
-                failed.append(index)
+                fail(index)
             else:
                 absorb(index, result)
 
@@ -1079,15 +1092,13 @@ class ClusterTree(Generic[_Endpoint]):
             while queue or pending:
                 while queue and len(pending) < self.parallelism:
                     index = queue.popleft()
-                    limit = math.inf if cutoff is None else cutoff(index)
-                    if limit is None:
-                        pruned = len(queue) + 1
-                        queue.clear()
-                        break
+                    call = dispatch(index)
+                    if call is None:
+                        continue
                     if self.parallelism == 1:
-                        settle(index, partial(call, index, limit))
+                        settle(index, call)
                     else:
-                        pending[self._pool().submit(call, index, limit)] = index
+                        pending[self._pool().submit(call)] = index
                 if pending:
                     done, _ = wait(pending, return_when=FIRST_COMPLETED)
                     for future in done:
@@ -1095,7 +1106,6 @@ class ClusterTree(Generic[_Endpoint]):
         finally:
             if pending:
                 wait(pending)
-        return failed, pruned
 
     def _pool(self) -> ThreadPoolExecutor:
         """The cluster's one scatter executor, made on first parallel use."""

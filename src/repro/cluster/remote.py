@@ -292,9 +292,9 @@ class RemoteShard:
     Holds no tree — only the connection, the (optional) process handle,
     the last state the worker reported (descriptor, applied LSN, clock
     time; see :meth:`absorb`) and the manifest LSN of the last cluster
-    checkpoint (for lag).  ``query`` and ``batch`` replies carry the
-    call's node accesses, as the in-process :class:`~repro.cluster
-    .coordinator.Shard` returns them.
+    checkpoint (for lag).  ``batch`` replies carry the call's node
+    accesses, as the in-process :class:`~repro.cluster.coordinator
+    .Shard` returns them.
     """
 
     __slots__ = (
@@ -378,38 +378,23 @@ class RemoteShard:
 
     # -- reads ------------------------------------------------------------
 
-    def query(
-        self,
-        token: CallToken,
-        query: KNNTAQuery,
-        normalizer: Normalizer,
-        cutoff: float,
-    ) -> tuple[list[QueryResult], AccessStats]:
-        payload = _wire_query(query, normalizer)
-        payload["op"] = "query"
-        if math.isfinite(cutoff):
-            # Sent only when finite (JSON has no infinity); a worker
-            # without it returns the uncut answer, a superset the merge
-            # already handles.
-            payload["cutoff"] = cutoff
-        response = self._request(payload)
-        return (
-            [QueryResult(*row) for row in response["results"]],
-            _wire_stats(response),
-        )
-
     def batch(
         self,
         token: CallToken,
         queries: Sequence[KNNTAQuery],
         normalizers: Normalizers,
+        cutoffs: Sequence[float],
     ) -> tuple[list[list[QueryResult]], AccessStats]:
         """One ``batch`` frame: the worker runs every rider under a
         single shard read lock (a consistent snapshot)."""
-        riders = [
-            _wire_query(query, normalizers[(query.interval, query.semantics)])
-            for query in queries
-        ]
+        riders: list[dict[str, Any]] = []
+        for query, cutoff in zip(queries, cutoffs):
+            rider = _wire_query(query, normalizers[(query.interval, query.semantics)])
+            if math.isfinite(cutoff):
+                # Sent only when finite (JSON has no infinity); a rider
+                # without one is answered uncut.
+                rider["cutoff"] = cutoff
+            riders.append(rider)
         response = self._request({"op": "batch", "queries": riders})
         return [
             [QueryResult(*row) for row in rows] for rows in response["results"]
@@ -526,19 +511,19 @@ class RemoteClusterTree(ClusterTree[RemoteShard]):
 
     ``parallelism`` defaults to the worker count — dispatching shard
     searches concurrently is the entire point of paying the process
-    boundary — and 1 degenerates to the deterministic sequential
-    best-bound-first walk.
+    boundary; each scatter wave then goes out at once — and 1
+    degenerates to the deterministic sequential best-bound-first walk.
     """
 
     #: Its own attribute, not just inherited: the benchmark tracer
     #: (perfbench/spans.py) wraps ``RemoteClusterTree.__dict__["query"]``.
     query = ClusterTree.query
 
-    #: Worker queries pay per frame, and the default parallel scatter
-    #: already sends every query to every shard, so a batch of any
-    #: intervals costs one ``batch`` frame per worker and prunes nothing
-    #: a single query would (docs/SERVICE.md, "Micro-batching
-    #: semantics").
+    #: Worker queries pay per frame: a batch of any intervals costs at
+    #: most two ``batch`` frames per worker, one per scatter wave, for
+    #: all its riders, and at the default parallelism each rider prunes
+    #: and cuts the same shards as when asked alone (docs/SERVICE.md,
+    #: "Micro-batching semantics").
     coalesce_any_interval = True
 
     def __init__(

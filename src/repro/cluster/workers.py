@@ -17,16 +17,18 @@ process boundary around it.
 
 Worker ops (beyond the shared ``hello`` / ``shutdown`` frames):
 
-``query`` / ``batch``
-    One ``tree.query`` (or one ``tree.query_batch``, under a single read
-    lock) with the *cluster-level* normaliser pushed down as ``[d_max,
-    g_max]`` — a shard normalising against its own local maxima would
-    break cross-shard score comparability, so the exact constants ride
-    the wire (JSON floats round-trip exactly; answers stay
-    bit-identical).  A ``query`` frame may carry the coordinator's
-    running k-th score as an inclusive ``cutoff``; the search then
-    drops every row scoring above it.  The reply carries the call's
-    node accesses as ``stats``: the four raw
+``batch`` / ``query``
+    One ``tree.query_batch`` under a single read lock (or one
+    ``tree.query``) with the *cluster-level* normaliser pushed down as
+    ``[d_max, g_max]`` — a shard normalising against its own local
+    maxima would break cross-shard score comparability, so the exact
+    constants ride the wire (JSON floats round-trip exactly; answers
+    stay bit-identical).  Each ``batch`` rider, like a ``query`` frame,
+    may carry the coordinator's running k-th score for it as an
+    inclusive ``cutoff``; its search then drops every row scoring above
+    it.  The coordinator sends only ``batch`` frames; ``query`` answers
+    one query for any other client.  The reply carries the call's node
+    accesses as ``stats``: the four raw
     :class:`~repro.storage.stats.AccessStats` counters.
 ``insert`` / ``delete`` / ``digest``
     Routed mutations through the shard WAL under the write lock; every
@@ -136,9 +138,10 @@ def _parse_normalizer(payload: dict[str, Any]) -> Normalizer:
 
 
 def _parse_cutoff(payload: dict[str, Any]) -> float:
-    """A ``query`` frame's optional inclusive ``cutoff`` (absent: uncut).
-    A NaN would silently empty the answer (``score <= nan`` never
-    holds), so it is refused like any other non-number."""
+    """A ``query`` frame's or ``batch`` rider's optional inclusive
+    ``cutoff`` (absent: uncut).  A NaN would silently empty the answer
+    (``score <= nan`` never holds), so it is refused like any other
+    non-number."""
     cutoff = payload.get("cutoff", math.inf)
     if isinstance(cutoff, bool) or not isinstance(cutoff, (int, float)):
         raise TypeError("cutoff must be a number, got %r" % (cutoff,))
@@ -150,10 +153,16 @@ def _parse_cutoff(payload: dict[str, Any]) -> float:
 
 def _parse_batch(
     payload: dict[str, Any],
-) -> tuple[list[KNNTAQuery], dict[tuple[TimeInterval, IntervalSemantics], Normalizer]]:
-    """A batch's riders and their normaliser per ``(interval, semantics)``."""
+) -> tuple[
+    list[KNNTAQuery],
+    dict[tuple[TimeInterval, IntervalSemantics], Normalizer],
+    list[float],
+]:
+    """A batch's riders, their normaliser per ``(interval, semantics)``
+    and each rider's cutoff."""
     queries: list[KNNTAQuery] = []
     normalizers: dict[tuple[TimeInterval, IntervalSemantics], Normalizer] = {}
+    cutoffs: list[float] = []
     for rider in payload["queries"]:
         query = _parse_query(rider)
         normalizer = _parse_normalizer(rider)
@@ -161,7 +170,8 @@ def _parse_batch(
         if normalizers.setdefault(key, normalizer) != normalizer:
             raise ValueError("riders over one interval carry different normalizers")
         queries.append(query)
-    return queries, normalizers
+        cutoffs.append(_parse_cutoff(rider))
+    return queries, normalizers, cutoffs
 
 
 def _rows(answer: RankedAnswer) -> list[list[Any]]:
@@ -339,12 +349,12 @@ class ShardWorkerServer:
                 "stats": list(stats.snapshot())}
 
     def _op_batch(self, payload: dict[str, Any]) -> dict[str, Any]:
-        queries, normalizers = _parsed(lambda: _parse_batch(payload))
+        queries, normalizers, cutoffs = _parsed(lambda: _parse_batch(payload))
         stats = AccessStats()
         # All riders under one read lock: a consistent snapshot, exactly
         # like the in-process shard's batch.
         with self.lock.read_locked():
-            answers = self.tree.query_batch(queries, normalizers, stats)
+            answers = self.tree.query_batch(queries, normalizers, stats, cutoffs)
         return {"ok": True, "results": [_rows(answer) for answer in answers],
                 "stats": list(stats.snapshot())}
 

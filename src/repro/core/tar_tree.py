@@ -689,30 +689,41 @@ class TARTree:
         normalizers: Mapping[tuple[TimeInterval, IntervalSemantics], Normalizer]
         | None = None,
         stats: AccessStats | None = None,
+        cutoffs: Sequence[float] | None = None,
     ) -> list[RankedAnswer]:
         """Answer each query in ``queries`` with its own :meth:`query`.
 
         Riders share one normaliser per ``(interval, semantics)`` key:
         ``normalizers[key]`` when given (a cluster pushes its own),
-        else :meth:`normalizer` once per key.  The caller holds whatever
-        lock makes the batch one snapshot.  ``stats`` receives every
-        rider's node accesses, so a batch costs the sum of its riders.
-        Collective processing (Section 7.2,
+        else :meth:`normalizer` once per key.  ``cutoffs``, when given,
+        holds one inclusive :meth:`query` cutoff per rider (a cluster
+        passes each rider's running k-th score).  The caller holds
+        whatever lock makes the batch one snapshot.  ``stats`` receives
+        every rider's node accesses, so a batch costs the sum of its
+        riders.  Collective processing (Section 7.2,
         :class:`~repro.core.collective.CollectiveProcessor`) shares node
         fetches instead; on the serving benchmark's workloads it costs
         more CPU per query than this loop (docs/SERVICE.md,
         "Micro-batching semantics").
         """
-        shared: dict[tuple[TimeInterval, IntervalSemantics], Normalizer] = {}
-        for query in queries:
-            key = (query.interval, query.semantics)
-            if key not in shared:
-                shared[key] = (
-                    self.normalizer(*key) if normalizers is None else normalizers[key]
-                )
+        if cutoffs is None:
+            cutoffs = [math.inf] * len(queries)
+        elif len(cutoffs) != len(queries):
+            raise ValueError(
+                "%d cutoffs for %d queries" % (len(cutoffs), len(queries))
+            )
+        if normalizers is None:
+            own: dict[tuple[TimeInterval, IntervalSemantics], Normalizer] = {}
+            for query in queries:
+                key = (query.interval, query.semantics)
+                if key not in own:
+                    own[key] = self.normalizer(*key)
+            normalizers = own
         return [
-            self.query(query, shared[(query.interval, query.semantics)], stats)
-            for query in queries
+            self.query(
+                query, normalizers[(query.interval, query.semantics)], stats, cutoff
+            )
+            for query, cutoff in zip(queries, cutoffs)
         ]
 
     def robust_query(self, query: KNNTAQuery, **options: Any) -> RobustAnswer:

@@ -79,7 +79,6 @@ SHARD_DISPATCH_METHODS = frozenset(
 #: dispatch and stay unchecked (docs/DEVTOOLS.md).
 ENDPOINT_DISPATCH_METHODS = frozenset(
     {
-        "query",
         "batch",
         "insert",
         "delete",

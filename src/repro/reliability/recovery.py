@@ -292,7 +292,10 @@ class CheckpointedIngest:
         self.log_path = _wal_path(directory, name)
         os.makedirs(directory, exist_ok=True)
         self.snapshot_path = os.path.join(directory, name + ".json")
-        self.log = MutationWAL(self.log_path)
+        applied = tree.applied_lsn
+        self.log = MutationWAL(
+            self.log_path, first_lsn=0 if applied is None else applied + 1
+        )
         self._last_logged_lsn = None
         try:
             tree.attach_mutation_listener(self)

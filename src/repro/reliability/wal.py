@@ -223,15 +223,22 @@ class MutationWAL:
     append handle is created, so a post-crash append starts on a fresh
     line instead of concatenating onto the torn fragment (which would
     garble the new, acked record and poison every later read).
+
+    The next LSN follows the last intact record, and is at least
+    ``first_lsn``: a log opened beside a snapshot passes one past the
+    snapshot's applied LSN, so a log that is missing, or ends below that
+    mark, never reissues an LSN the snapshot already covers —
+    :func:`~repro.reliability.recovery.recover` would skip such a
+    record as applied.
     """
 
-    def __init__(self, path: str) -> None:
+    def __init__(self, path: str, first_lsn: int = 0) -> None:
         self.path = path
         # Scan before opening for append: a CorruptSnapshotError here
         # must not leak a handle, and a torn tail must be cut off so the
         # next append starts at a clean record boundary.
         records, _dropped, valid_end = _scan_wal(path)
-        self._next_lsn = records[-1].lsn + 1 if records else 0
+        self._next_lsn = max(records[-1].lsn + 1 if records else 0, first_lsn)
         if os.path.exists(path) and os.path.getsize(path) > valid_end:
             with open(path, "r+b") as repair:
                 repair.truncate(valid_end)

@@ -47,10 +47,9 @@ may be attached in that mode.
 A tree whose ``coalesce_any_interval`` marker is true — a worker
 cluster, :class:`~repro.cluster.remote.RemoteClusterTree` — gets
 batches of the oldest queued requests whatever their interval: there a
-query costs a socket frame per worker, and a batch costs one frame per
-worker for all its riders.  Single trees and in-process clusters keep
-one interval per batch, because an in-process cluster batch visits
-every shard where a single query prunes shards by bound
+query costs a socket frame per visited worker, and a batch at most two
+frames per worker for all its riders.  Single trees and in-process
+clusters pay no frame and keep one interval per batch
 (``docs/SERVICE.md``, "Micro-batching semantics", has the
 measurements behind both and behind the per-rider batch).
 """
@@ -680,8 +679,9 @@ class QueryService:
         try:
             # A cluster holds its shard read locks itself; there this
             # hold only orders against service-level writers.  A single
-            # query stays a query: on a cluster it prunes shards by
-            # bound, which a batch cannot.
+            # query stays a query: a one-rider batch would search the
+            # same nodes (and, on a cluster, prune and cut the same
+            # shards) through the batch's per-rider bookkeeping.
             with self.lock.read_locked():
                 if len(batch) == 1:
                     results = [self.tree.query(queries[0], stats=stats)]

@@ -377,6 +377,45 @@ def single(small_dataset):
     return TARTree.build(small_dataset)
 
 
+def wave_two_victims(cluster, single, k=2, alpha0=0.95):
+    """``(query, shards)`` pairs over a grid of distance-dominant
+    queries: the shards a healthy scatter searches in wave 2 that the
+    degradation certificate would clear, because they hold none of the
+    oracle's top-k rows and bound at or above its k-th score."""
+    found = []
+    end = cluster.current_time
+    for x in range(0, 101, 10):
+        for y in range(0, 101, 10):
+            query = KNNTAQuery(
+                (float(x), float(y)),
+                TimeInterval(end - 28, end),
+                k=k,
+                alpha0=alpha0,
+            )
+            normalizer = cluster.normalizer(query.interval, query.semantics)
+            bounds = {
+                shard.index: cluster._shard_bound(shard, query, normalizer)
+                for shard in cluster.shards
+            }
+            best = min(bounds, key=lambda index: (bounds[index], index))
+            _, cost = cluster.explain(query)
+            oracle = single.query(query)
+            owners = {
+                cluster.plan.route(single.poi(row.poi_id).point) for row in oracle
+            }
+            victims = [
+                index
+                for index, bound in bounds.items()
+                if index != best
+                and "shards.%d.rtree_nodes" % index in cost
+                and index not in owners
+                and bound >= oracle[-1].score
+            ]
+            if victims:
+                found.append((query, victims))
+    return found
+
+
 def owner_of_top_result(cluster, single, query):
     """The shard holding the oracle's top-1 row."""
     top = single.query(query)[0].poi_id
@@ -457,23 +496,16 @@ class TestDegradationPolicy:
     def test_down_but_irrelevant_shard_leaves_the_answer_exact(
         self, make, single
     ):
-        # Distance-dominant query with a small k: the shard farthest
-        # from the query point cannot beat the k-th score, so its death
-        # is certified harmless and the answer stays provably exact.
-        # Parallel dispatch submits every shard before the k-th score
-        # tightens, so the far shard actually fails (sequential order
-        # would prune it before dispatch).
+        # Distance-dominant query with a small k: a shard that wave 2
+        # searches (its bound is below the k-th score the best shard
+        # left) but that holds none of the top-k and bounds at or above
+        # the final k-th score.  Its death is certified harmless and the
+        # answer stays provably exact.
         cluster = make(parallelism=4)
-        query = trailing_query(cluster, k=2, alpha0=0.95)
-        normalizer = cluster.normalizer(query.interval, query.semantics)
-        bounds = {
-            shard.index: cluster._shard_bound(shard, query, normalizer)
-            for shard in cluster.shards
-        }
-        victim = max(
-            (index for index, bound in bounds.items() if bound is not None),
-            key=lambda index: bounds[index],
-        )
+        found = wave_two_victims(cluster, single)
+        assert found, "no query sends a harmless shard into wave 2"
+        query, victims = found[0]
+        victim = min(victims)
         kill_shard(cluster, victim)
         before = cluster.counters()
         results = cluster.query(query)  # strict policy: would raise if unproven
@@ -484,32 +516,34 @@ class TestDegradationPolicy:
         assert counters["shards.failed"] - before["shards.failed"] == 1
 
     def test_batch_certificate_counts_every_certified_rider(self, make, single):
-        # The farthest shard dies under four distance-dominant queries.
-        # Each answer is certified exact on its own bound and counts
-        # once, and each rider counts the three shards it searched and
-        # the dead one — in one batch exactly as when asked one at a
-        # time (parallel dispatch sends every query to every shard).
+        # One shard dies that wave 2 searches for four distance-dominant
+        # queries and that none of them needs.  Each answer is certified
+        # exact on its own bound and counts once, and each rider counts
+        # the shards it searched, pruned and missed — in one batch
+        # exactly as when asked one at a time (at parallelism equal to
+        # the shard count, wave 2 cuts every rider at the k-th score its
+        # best shard left, alone or batched).
         cluster = make(parallelism=4)
-        end = cluster.current_time
-        queries = [
-            KNNTAQuery(
-                (0.3 + 0.05 * i, 0.5), TimeInterval(end - 28, end), k=2, alpha0=0.95
-            )
-            for i in range(4)
-        ]
-        worst: dict = {}
-        for query in queries:
-            normalizer = cluster.normalizer(query.interval, query.semantics)
-            for shard in cluster.shards:
-                bound = cluster._shard_bound(shard, query, normalizer)
-                if bound is not None:
-                    worst[shard.index] = min(bound, worst.get(shard.index, bound))
-        victim = max(worst, key=worst.get)
+        found = wave_two_victims(cluster, single)
+        by_victim: dict = {}
+        for query, victims in found:
+            for victim in victims:
+                by_victim.setdefault(victim, []).append(query)
+        victim = max(sorted(by_victim), key=lambda index: len(by_victim[index]))
+        queries = by_victim[victim][:4]
+        assert len(queries) == 4, "no shard is harmless in wave 2 for 4 queries"
+        healthy = [cluster.explain(query)[1] for query in queries]
         kill_shard(cluster, victim)
         oracle = [single.query(query) for query in queries]
 
         def deltas(run):
-            keys = ("queries", "certified_exact", "shards.visited", "shards.failed")
+            keys = (
+                "queries",
+                "certified_exact",
+                "shards.visited",
+                "shards.pruned",
+                "shards.failed",
+            )
             before = cluster.counters()
             answers = run()
             assert answers == oracle
@@ -523,7 +557,9 @@ class TestDegradationPolicy:
         assert batched == alone == {
             "queries": riders,
             "certified_exact": riders,
-            "shards.visited": 3 * riders,
+            "shards.visited": sum(cost["shards.visited"] for cost in healthy)
+            - riders,
+            "shards.pruned": sum(cost["shards.pruned"] for cost in healthy),
             "shards.failed": riders,
         }
 

@@ -196,6 +196,39 @@ class TestWorkerProtocol:
         assert worker_server.handle_request(frame[:-1] + ', "cutoff": 1}')["ok"]
         assert worker_server.handle_request(frame)["ok"]
 
+    def test_batch_rider_cutoff_drops_the_rows_scoring_above_it(
+        self, worker_server
+    ):
+        rider = {"point": [0.5, 0.5], "interval": [0, 400], "k": 10,
+                 "normalizer": [1.0, 1.0]}
+        frame = {"op": "batch", "queries": [rider, rider]}
+        (uncut, _) = worker_server.handle_request(json.dumps(frame))["results"]
+        assert len(uncut) > 2
+        cutoff = uncut[len(uncut) // 2][1]  # a row's exact score: kept
+        response = worker_server.handle_request(json.dumps(
+            dict(frame, queries=[dict(rider, cutoff=cutoff), rider])
+        ))
+        assert response["ok"]
+        cut, whole = response["results"]
+        assert cut == [row for row in uncut if row[1] <= cutoff]
+        assert whole == uncut
+
+    def test_batch_rider_cutoff_must_be_a_number(self, worker_server):
+        rider = json.dumps({"point": [0.5, 0.5], "interval": [0, 9],
+                            "normalizer": [1.0, 1.0]})
+        for bad in ("NaN", '"0.5"', "true", "false", "null"):
+            frame = '{"op": "batch", "queries": [%s, %s, "cutoff": %s}]}' % (
+                rider, rider[:-1], bad
+            )
+            response = worker_server.handle_request(frame)
+            assert response["code"] == "bad-request", bad
+            assert "cutoff" in response["error"], bad
+        assert worker_server.errors == 0
+        frame = '{"op": "batch", "queries": [%s, %s, "cutoff": 1}]}' % (
+            rider, rider[:-1]
+        )
+        assert worker_server.handle_request(frame)["ok"]
+
     def test_client_refuses_a_server_speaking_another_proto(self):
         class FutureHandler(socketserver.StreamRequestHandler):
             def handle(self):

@@ -1,5 +1,6 @@
 """TAR-tree structure, maintenance and invariants."""
 
+import math
 import random
 
 import pytest
@@ -322,6 +323,24 @@ class TestQuerySurface:
         }
         answers = tree.query_batch(queries, normalizers=pushed)
         assert answers == [tree.query(q, Normalizer(100.0, 50.0)) for q in queries]
+
+    def test_batch_cuts_each_rider_at_its_own_cutoff(self, tree):
+        queries = self.batch(False)
+        cutoffs = []
+        for position, query in enumerate(queries):
+            uncut = tree.query(query)
+            # A row's exact score (kept), or no cut at all.
+            cutoffs.append(uncut[len(uncut) // 2].score if position % 3 else math.inf)
+        stats = AccessStats()
+        answers = tree.query_batch(queries, stats=stats, cutoffs=cutoffs)
+        single = AccessStats()
+        assert answers == [
+            tree.query(query, stats=single, cutoff=cutoff)
+            for query, cutoff in zip(queries, cutoffs)
+        ]
+        assert stats.rtree_nodes == single.rtree_nodes
+        with pytest.raises(ValueError, match="2 cutoffs for 12 queries"):
+            tree.query_batch(queries, cutoffs=cutoffs[:2])
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,5 +1,6 @@
 """Graceful degradation (robust_knnta) and crash recovery (WAL + replay)."""
 
+import os
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from repro.reliability.recovery import (
 from repro.reliability.wal import (
     RECORD_CHECKPOINT,
     RECORD_DIGEST,
+    RECORD_INSERT,
     MutationWAL,
     WalRecord,
     read_wal,
@@ -246,6 +248,17 @@ class TestMutationWAL:
         with MutationWAL(path) as log:
             assert log.next_lsn == 1
             assert log.log_delete("a") == 1
+
+    def test_first_lsn_floors_the_next_lsn(self, tmp_path):
+        path = str(tmp_path / "x.wal")
+        with MutationWAL(path, first_lsn=5) as log:
+            assert log.log_delete("a") == 5
+            assert log.log_delete("b") == 6
+        with MutationWAL(path, first_lsn=3) as log:
+            assert log.next_lsn == 7  # the log's own sequence wins
+        with MutationWAL(path, first_lsn=9) as log:
+            assert log.log_delete("c") == 9
+        assert [record.lsn for record in read_wal(path)[0]] == [5, 6, 9]
 
     def test_missing_file_reads_empty(self, tmp_path):
         assert read_wal(str(tmp_path / "nope.wal")) == ([], 0)
@@ -571,6 +584,28 @@ class TestCheckpointedIngestRecovery:
         report = recover(directory, dataset=small_dataset)
         assert report.replayed[RECORD_DIGEST] == len(batches) - 2
         assert_same_tree(tree, report.tree, tmp_path)
+
+    def test_write_after_a_lost_log_survives_recovery(
+        self, small_dataset, tmp_path
+    ):
+        # A checkpoint at applied LSN 3, then its log is lost.  The next
+        # acked insert must be logged past the snapshot's mark: logged at
+        # LSN 0, recover() would skip it as already applied.
+        directory = make_base_snapshot(small_dataset, tmp_path / "c")
+        tree = load_tree(directory + "/tree.json")
+        with CheckpointedIngest(tree, directory) as ingest:
+            for i in range(4):
+                ingest.insert(POI("kept-%d" % i, 10.0 + i, 20.0))
+            ingest.checkpoint()
+        assert tree.applied_lsn == 3
+        os.remove(directory + "/tree.wal")
+        reopened = load_tree(directory + "/tree.json")
+        with CheckpointedIngest(reopened, directory) as ingest:
+            assert ingest.insert(POI("after-loss", 50.0, 50.0)) == 4
+        report = recover(directory)
+        assert "after-loss" in report.tree
+        assert report.replayed[RECORD_INSERT] == 1
+        assert report.tree.applied_lsn == 4
 
     def test_crash_between_snapshot_and_truncate_is_harmless(
         self, small_dataset, tmp_path

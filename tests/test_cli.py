@@ -344,14 +344,10 @@ class TestVerify:
         assert "'pois'" in output
 
     def test_missing_files_exit_two(self, tree_file, tmp_path):
+        # A missing --dataset archive is TestDatasetArchives' case.
         code, output = run_cli(["verify", str(tmp_path / "missing.json")])
         assert code == 2
         assert "cannot read tree snapshot" in output
-        code, output = run_cli(
-            ["verify", str(tree_file), "--dataset", str(tmp_path / "no.npz")]
-        )
-        assert code == 2
-        assert "cannot read dataset snapshot" in output
 
     def test_unsupported_version_exits_two(self, tree_file, tmp_path):
         import json
@@ -372,15 +368,6 @@ class TestVerify:
         code, output = run_cli(["verify", str(cluster_dir / "cluster.json")])
         assert code == 2
         assert "cluster manifest" in output
-
-    def test_corrupt_dataset_exits_two(self, tree_file, tmp_path):
-        garbage = tmp_path / "garbage.npz"
-        garbage.write_bytes(b"\x00" * 64)
-        code, output = run_cli(
-            ["verify", str(tree_file), "--dataset", str(garbage)]
-        )
-        assert code == 2
-        assert "corrupt dataset snapshot" in output
 
 
 class TestRecover:

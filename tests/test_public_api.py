@@ -81,8 +81,9 @@ def test_all_matches_module_contents():
 
 def test_query_entry_point_signatures():
     # Every query entry point takes one KNNTAQuery value (a batch, a
-    # sequence of them); the tree's two take per-call access stats, and
-    # a single query an inclusive score cutoff (a cluster's running k-th).
+    # sequence of them); the tree's two take per-call access stats and
+    # inclusive score cutoffs (a cluster's running k-th score: one for a
+    # single query, one per rider for a batch).
     assert list(inspect.signature(repro.TARTree.query).parameters) == [
         "self",
         "query",
@@ -95,6 +96,7 @@ def test_query_entry_point_signatures():
         "queries",
         "normalizers",
         "stats",
+        "cutoffs",
     ]
     robust = inspect.signature(repro.TARTree.robust_query)
     assert list(robust.parameters)[:2] == ["self", "query"]
