@@ -250,6 +250,7 @@ class ShardWorkerServer:
         self._server = _Server((host, port), _Handler)
         self.address: tuple[str, int] = self._server.server_address[:2]
         self._thread: threading.Thread | None = None
+        self._served = False
 
     # ------------------------------------------------------------------
     # Request dispatch
@@ -490,6 +491,7 @@ class ShardWorkerServer:
 
     def start(self) -> "ShardWorkerServer":
         """Serve on a background daemon thread (embedding/tests)."""
+        self._served = True
         self._thread = threading.Thread(
             target=self._server.serve_forever,
             name="repro-shard-worker", daemon=True,
@@ -498,10 +500,15 @@ class ShardWorkerServer:
         return self
 
     def serve_forever(self) -> None:
+        self._served = True
         self._server.serve_forever()
 
     def shutdown(self) -> None:
-        self._server.shutdown()
+        """Stop serving, close the listener and the shard's WAL."""
+        # socketserver's shutdown() waits for a serve_forever loop to
+        # exit, so on a server that never served it would wait forever.
+        if self._served:
+            self._server.shutdown()
         self._server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)

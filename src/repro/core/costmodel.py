@@ -32,9 +32,10 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Any, Iterable
 
-import numpy as np
-
+# numpy and scipy are imported where they are used, not at module level,
+# so that ``import repro`` (and every shard worker) stays without them.
 if TYPE_CHECKING:
+    import numpy as np
     import numpy.typing as npt
 
 DEFAULT_FANOUT_RATIO = 0.69
@@ -49,6 +50,8 @@ def boundary_corrected_disc_area(
     Tao et al.'s approximation for a uniformly placed query point:
     ``(sqrt(pi) r - pi r^2 / 4)^2`` while ``sqrt(pi) r < 2``, else 1.
     """
+    import numpy as np
+
     r = np.asarray(radius, dtype=np.float64)
     sqrt_pi_r = math.sqrt(math.pi) * r
     area = np.where(
@@ -105,8 +108,7 @@ class CostModel:
         self.capacity = capacity
         self.fanout = max(2.0, fanout_ratio * capacity)
 
-        # scipy is imported where it is used, not at module level, so
-        # that ``import repro`` (and every shard worker) stays without it.
+        import numpy as np
         from scipy.special import zeta as hurwitz_zeta
 
         self._layers = np.arange(self.xmin, self.max_aggregate + 1, dtype=np.float64)
@@ -169,6 +171,8 @@ class CostModel:
         self, fpk: float, alpha0: float
     ) -> npt.NDArray[np.float64]:
         """Radius of the cone's cross-section at every modelled layer."""
+        import numpy as np
+
         alpha1 = 1.0 - alpha0
         r0 = fpk / alpha0
         hl = fpk / alpha1
@@ -179,6 +183,8 @@ class CostModel:
 
     def expected_pois_in_region(self, fpk: float, alpha0: float) -> float:
         """Expected POIs inside the search region defined by ``fpk``."""
+        import numpy as np
+
         radii = self.cross_section_radii(fpk, alpha0)
         return float(np.sum(self._counts * boundary_corrected_disc_area(radii)))
 

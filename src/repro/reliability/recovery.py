@@ -517,7 +517,6 @@ def recover(directory, name="tree", dataset=None, stats=None, **overrides):
     consistency beyond the last intact log record.
     """
     from repro.core.tar_tree import POI
-    from repro.datasets.streaming import catch_up
 
     snapshot_path = os.path.join(directory, name + ".json")
     log_path = _wal_path(directory, name)
@@ -562,6 +561,10 @@ def recover(directory, name="tree", dataset=None, stats=None, **overrides):
         tree.applied_lsn = record.lsn
     caught_up = 0
     if dataset is not None:
+        # Imported only here: the data set layer brings numpy, which a
+        # recovery without a data set (every shard worker's) never needs.
+        from repro.datasets.streaming import catch_up
+
         # catch_up() raises for MAX trees; record the skip instead of
         # silently reporting "0 caught up" as if reconciliation ran.
         caught_up = None if is_max else catch_up(tree, dataset)

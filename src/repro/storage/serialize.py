@@ -40,8 +40,6 @@ fault injector intercepts snapshot I/O (see
 import json
 import zlib
 
-import numpy as np
-
 from repro.spatial.geometry import Rect
 from repro.spatial.rstar import Entry
 from repro.temporal.epochs import EpochClock, VariedEpochClock
@@ -83,14 +81,31 @@ def _crc_bytes(data):
     return zlib.crc32(data) & 0xFFFFFFFF
 
 
+#: The canonical (sorted, compact, ASCII) encoding every tree section's
+#: CRC-32 covers.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _crc_json(section):
-    """CRC-32 of a JSON value's canonical (sorted, compact) encoding."""
-    return _crc_bytes(
-        json.dumps(section, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    )
+    """CRC-32 of a JSON value's canonical encoding.
+
+    A list is checksummed item by item, feeding the ``[``, ``,`` and
+    ``]`` between the items: the same bytes as encoding it whole, without
+    holding the encoded section in memory at once.
+    """
+    if not isinstance(section, list):
+        return _crc_bytes(_CANONICAL.encode(section).encode("utf-8"))
+    crc = zlib.crc32(b"[")
+    for index, item in enumerate(section):
+        if index:
+            crc = zlib.crc32(b",", crc)
+        crc = zlib.crc32(_CANONICAL.encode(item).encode("utf-8"), crc)
+    return zlib.crc32(b"]", crc) & 0xFFFFFFFF
 
 
 def _crc_array(array):
+    import numpy as np
+
     return _crc_bytes(np.ascontiguousarray(array).tobytes())
 
 
@@ -128,6 +143,10 @@ _DATASET_SECTIONS = (
 
 def save_dataset(dataset, path, opener=None):
     """Write ``dataset`` to ``path`` as a checksummed ``.npz`` archive."""
+    # numpy is imported where it is used, not at module level, so that
+    # opening a tree snapshot (every shard worker's start) stays without it.
+    import numpy as np
+
     poi_ids = sorted(dataset.positions)
     positions = np.array(
         [dataset.positions[poi_id] for poi_id in poi_ids], dtype=np.float64
@@ -189,6 +208,8 @@ def load_dataset(path, opener=None):
     format version.
     """
     import zipfile
+
+    import numpy as np
 
     from repro.datasets.generator import Dataset
 
@@ -278,6 +299,8 @@ def _verify_dataset_checksums(archive):
 
 def _plain(value):
     """Convert a numpy scalar to the nearest Python scalar."""
+    import numpy as np
+
     if isinstance(value, np.generic):
         return value.item()
     return value
@@ -358,15 +381,18 @@ def save_tree(tree, path, opener=None):
     restoring the index.
     """
     sections = _tree_sections(tree)
-    payload = {
-        "version": _TREE_FORMAT_VERSION,
-        "sections": sections,
-        "checksums": {name: _crc_json(body) for name, body in sections.items()},
-    }
+    checksums = {name: _crc_json(body) for name, body in sections.items()}
     if opener is None:
         opener = open
+    # The bytes ``json.dump`` writes for ``{"version", "sections",
+    # "checksums"}``, encoded one section at a time by ``json.dumps``,
+    # which runs the C encoder where ``json.dump`` runs the Python one.
     with opener(path, "w") as handle:
-        json.dump(payload, handle)
+        handle.write('{"version": %d, "sections": {' % _TREE_FORMAT_VERSION)
+        for index, (name, body) in enumerate(sections.items()):
+            handle.write('%s"%s": ' % (", " if index else "", name))
+            handle.write(json.dumps(body))
+        handle.write('}, "checksums": %s}' % json.dumps(checksums))
 
 
 def _tree_payload_sections(path, payload):
@@ -560,10 +586,12 @@ def load_tree(path, stats=None, opener=None, **overrides):
     # The lambda-hat normaliser as saved: restoring it (rather than
     # recomputing it) keeps save -> load -> save byte-identical.
     tree._max_mean_rate = max_mean_rate
+    # Each parsed section is popped as it is built from, so the parse
+    # tree is released while the index grows, not after it is complete.
     try:
         rows = [
             (POI(poi_id, x, y), {int(e): v for e, v in history})
-            for poi_id, x, y, history in sections["pois"]
+            for poi_id, x, y, history in sections.pop("pois")
         ]
         tias = tree._register_pois(rows)
     except (TypeError, ValueError) as exc:
@@ -572,7 +600,7 @@ def load_tree(path, stats=None, opener=None, **overrides):
             section="pois",
         )
     tree.root = _restore_nodes(
-        tree, sections["nodes"], [poi for poi, _history in rows], tias
+        tree, sections.pop("nodes"), [poi for poi, _history in rows], tias
     )
     tree._size = len(rows)
     # Snapshots written outside a WAL carry null; None means "replay

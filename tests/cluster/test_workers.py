@@ -20,10 +20,13 @@ import multiprocessing
 import os
 import random
 import socketserver
+import subprocess
+import sys
 import threading
 
 import pytest
 
+import repro
 from repro import (
     ClusterTree,
     IntervalSemantics,
@@ -44,8 +47,10 @@ from repro.cluster import (
     split_shard,
 )
 from repro.cluster.state import read_manifest, write_manifest_payload
+from repro.core.query import Normalizer
 from repro.core.tar_tree import POI
 from repro.service.server import PROTO_VERSION
+from repro.storage.serialize import load_tree
 
 
 def make_cluster_dir(dataset, path, num_shards=4):
@@ -313,6 +318,54 @@ class TestWorkerProtocol:
         response = worker_server.handle_request(json.dumps({"op": "query"}))
         assert response["code"] == "bad-request"
         assert worker_server.handle_request(json.dumps({"op": "health"}))["ok"]
+
+
+@pytest.mark.timeout(60)
+def test_shutdown_of_a_server_that_never_served_returns(small_dataset, tmp_path):
+    directory = make_cluster_dir(small_dataset, tmp_path / "c", num_shards=2)
+    server = ShardWorkerServer(os.path.join(directory, "shard-0"))
+    closer = threading.Thread(target=server.shutdown, daemon=True)
+    closer.start()
+    closer.join(timeout=10.0)
+    assert not closer.is_alive(), "shutdown() hung on a server that never served"
+    assert server._server.socket.fileno() == -1
+    assert server.ingest.log._handle.closed
+
+
+#: A shard worker's start (``run_worker``) and one query frame, in a
+#: fresh interpreter; prints the reply and which heavy modules loaded.
+WORKER_OPEN = """
+import json, sys
+from repro.cluster.workers import ShardWorkerServer
+server = ShardWorkerServer(sys.argv[1])
+reply = server.handle_request(sys.argv[2])
+loaded = [name for name in ("numpy", "scipy") if name in sys.modules]
+print(json.dumps({"reply": reply, "loaded": loaded}))
+"""
+
+
+@pytest.mark.timeout(120)
+def test_a_worker_opens_and_answers_without_numpy(small_dataset, tmp_path):
+    directory = make_cluster_dir(small_dataset, tmp_path / "c", num_shards=2)
+    shard = os.path.join(directory, "shard-0")
+    frame = {"op": "query", "point": [0.5, 0.5], "interval": [0, 400],
+             "k": 10, "normalizer": [1.0, 1.0]}
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", WORKER_OPEN, shard, json.dumps(frame)],
+        env=env, capture_output=True, text=True, timeout=100, check=True,
+    )
+    outcome = json.loads(completed.stdout)
+    expected = load_tree(os.path.join(shard, "tree.json")).query(
+        KNNTAQuery((0.5, 0.5), TimeInterval(0, 400), k=10), Normalizer(1.0, 1.0)
+    )
+    assert outcome["reply"]["ok"]
+    assert outcome["reply"]["results"] == [list(row) for row in expected]
+    assert outcome["loaded"] == []
 
 
 # ----------------------------------------------------------------------

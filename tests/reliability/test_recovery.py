@@ -1,7 +1,9 @@
 """Graceful degradation (robust_knnta) and crash recovery (WAL + replay)."""
 
+import gc
 import os
 import random
+import tracemalloc
 
 import pytest
 
@@ -643,6 +645,49 @@ class TestCheckpointedIngestRecovery:
             poi_id = next(iter(tree.poi_ids()))
             assert ingest.digest(0, {poi_id: 0}) is None
         assert read_wal(directory + "/tree.wal") == ([], 0)
+
+
+#: ``recover()``'s traced peak over the state it keeps, for a bulk-built
+#: 600-POI snapshot.  A load that releases each parsed section once it
+#: has built from it, and checksums a section item by item, peaks at
+#: 1.2x; one that holds the whole parse tree until the index is built,
+#: and encodes each section whole to check its CRC, peaks at 1.9x.
+RECOVER_PEAK_BOUND = 1.5
+
+
+def test_recover_peaks_near_the_state_it_keeps(tmp_path):
+    rng = random.Random(3)
+    tree = TARTree(
+        world=Rect((0.0, 0.0), (100.0, 100.0)),
+        clock=EpochClock(0.0, 1.0),
+        current_time=12.0,
+        node_size=512,
+        tia_backend="memory",
+    )
+    tree.bulk_load(
+        [
+            (
+                POI(i, rng.random() * 100, rng.random() * 100),
+                {e: rng.randrange(1, 9) for e in range(12) if rng.random() < 0.4},
+            )
+            for i in range(600)
+        ]
+    )
+    directory = str(tmp_path / "state")
+    CheckpointedIngest(tree, directory).close()
+    recover(directory)  # imports whatever a first open imports
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        report = recover(directory)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept, peak = current - base, peak - base
+    assert len(report.tree) == 600
+    assert peak < RECOVER_PEAK_BOUND * kept, (peak, kept)
 
 
 def assert_same_tree(expected, actual, tmp_path, ignore_applied_lsn=False):
