@@ -26,8 +26,8 @@ and the enhancement APIs — and every answer they return satisfies the
 :class:`~repro.core.query.QueryResult`.
 
 Queries run on packed per-node buffers (:mod:`repro.core.frames`) kept
-coherent through the tree's mutation hooks; answers are bit-identical
-to the object-path traversal, just faster.
+coherent by per-node mutation stamps; answers are bit-identical to the
+object-path traversal, just faster.
 
 For concurrent serving, :class:`~repro.service.QueryService` wraps a
 tree behind collective micro-batching, a readers-writer lock and a

@@ -358,16 +358,12 @@ class RemoteShard:
             return
         wire = payload.get("descriptor")
         if wire is not None:
-            descriptor = self.descriptor
             mbr = wire.get("mbr")
-            descriptor.mbr = (
-                None if mbr is None else Rect(tuple(mbr[0]), tuple(mbr[1]))
+            self.descriptor.assign(
+                None if mbr is None else Rect(tuple(mbr[0]), tuple(mbr[1])),
+                {int(epoch): int(value) for epoch, value in wire["epoch_max"]},
+                int(wire["pois"]),
             )
-            descriptor.epoch_max = {
-                int(epoch): int(value) for epoch, value in wire["epoch_max"]
-            }
-            descriptor.pois = int(wire["pois"])
-            descriptor.fresh = True
         self.applied_lsn = lsn
         time_value = payload.get("current_time")
         if time_value is not None:

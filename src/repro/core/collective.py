@@ -7,7 +7,10 @@ every queue that wanted it.  Queries with the same time interval are
 additionally grouped so the aggregate computation on each TIA in the
 fetched node happens once per interval rather than once per query —
 effective in practice because applications offer only a few interval
-presets ("one day", "one week", ...).
+presets ("one day", "one week", ...).  On a tree with packed frames
+(:mod:`repro.core.frames`) that computation is one window fold over the
+node's epoch table per interval, the same fold the single-query search
+reads.
 
 The paper counts node accesses as disk pages.  Here nodes live in
 memory, and on the serving benchmark's workloads the per-rider loop of
@@ -21,13 +24,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from bisect import bisect_left
 from collections import defaultdict
 from math import sqrt
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.core.query import QueryResult, RankedAnswer
-from repro.temporal.tia import AggregateKind
 
 if TYPE_CHECKING:
     from repro.core.query import KNNTAQuery, Normalizer
@@ -159,10 +160,12 @@ class CollectiveProcessor:
 
         States are grouped by (interval, semantics); each group computes
         the per-entry aggregate once.  When the tree carries an enabled
-        :class:`~repro.core.frames.FrameStore` the aggregates and
-        MINDISTs are read from the node's packed frame (no TIA page
-        I/O, no ``Rect`` chasing); results are bit-identical because
-        the raw values feed the same :meth:`_QueryState.push`.
+        :class:`~repro.core.frames.FrameStore` the MINDISTs are read
+        from the node's packed frame and each group's aggregates are
+        folded from its epoch table in one
+        :meth:`~repro.core.frames.NodeFrame.aggregates` call (no TIA
+        page I/O, no ``Rect`` chasing); results are bit-identical
+        because the raw values feed the same :meth:`_QueryState.push`.
         """
         tree = self.tree
         groups: defaultdict[
@@ -175,29 +178,17 @@ class CollectiveProcessor:
         frame = frames.frame(node) if frames is not None and frames.enabled else None
         if frame is not None:
             coords = frame.coords
-            epochs = frame.epochs
-            values = frame.values
-            offsets = frame.offsets
-            is_max = tree.aggregate_kind is AggregateKind.MAX
             clock = tree.clock
             for (interval, semantics), members in groups.items():
                 span = clock.epoch_range(interval, semantics)
-                e_start, e_stop = span.start, span.stop
-                for i, entry in enumerate(node.entries):
-                    stop = offsets[i + 1]
-                    first = bisect_left(epochs, e_start, offsets[i], stop)
-                    last = bisect_left(epochs, e_stop, first, stop)
-                    if is_max:
-                        raw_aggregate = (
-                            max(values[first:last]) if last > first else 0
-                        )
-                    else:
-                        raw_aggregate = sum(values[first:last])
-                    base = 4 * i
-                    lo_x = coords[base]
-                    hi_x = coords[base + 1]
-                    lo_y = coords[base + 2]
-                    hi_y = coords[base + 3]
+                for entry, lo_x, hi_x, lo_y, hi_y, raw_aggregate in zip(
+                    node.entries,
+                    coords[0::4],
+                    coords[1::4],
+                    coords[2::4],
+                    coords[3::4],
+                    frame.aggregates(span.start, span.stop),
+                ):
                     for state in members:
                         qx, qy = state.query.point
                         if qx < lo_x:

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Any, Iterator, Sequence, cast
 from repro.spatial.geometry import Rect
 
 if TYPE_CHECKING:
+    from repro.core.frames import NodeFrame
     from repro.storage.stats import AccessStats
 
 DEFAULT_REINSERT_RATIO = 0.3
@@ -252,10 +253,12 @@ class Node:
     :mod:`repro.core.frames`): code under such a cache that changes the
     entry list or an entry's rect/MBR/TIA content — splits, forced
     reinsertions, digest propagation, repairs — must bump it so stale
-    caches are detected.  The plain R*-tree carries but never reads it.
+    caches are detected.  ``frame`` holds that cached state, tagged with
+    the stamp it was built under.  The plain R*-tree carries but never
+    reads either.
     """
 
-    __slots__ = ("node_id", "level", "entries", "parent", "stamp")
+    __slots__ = ("node_id", "level", "entries", "parent", "stamp", "frame")
 
     def __init__(self, level: int) -> None:
         self.node_id = next(_node_ids)
@@ -263,6 +266,7 @@ class Node:
         self.entries: list[Entry] = []
         self.parent: Node | None = None
         self.stamp = 0
+        self.frame: NodeFrame | None = None
 
     @property
     def is_leaf(self) -> bool:

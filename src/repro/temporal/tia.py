@@ -509,14 +509,17 @@ class PagedTIA(BaseTIA):
         return best
 
     def items(self) -> Iterator[tuple[int, int]]:
-        # Structural iteration for maintenance/debugging; not charged as I/O.
+        # Structural iteration for maintenance and the packed frames; not
+        # charged as I/O.  Collected a leaf page at a time (in C) rather
+        # than yielded record by record: a frame build reads every record.
         page: _Page | None = self._root
         while isinstance(page, _InternalPage):
             page = page.children[0]
+        records: list[tuple[int, int]] = []
         while page is not None:
-            for key, value in zip(page.keys, page.values):
-                yield key, value
+            records += zip(page.keys, page.values)
             page = page.next
+        return iter(records)
 
     def replace_all(self, epoch_aggregates: Mapping[int, int]) -> None:
         items = sorted(
