@@ -17,9 +17,28 @@ writer.  Unnamed locks stay unwitnessed.
 """
 
 import threading
-from contextlib import contextmanager
 
 from repro.devtools import watchdog
+
+
+class _Held:
+    """One side of a :class:`ReadWriteLock` as a context manager: takes
+    it on entry and releases it on exit.  A plain object rather than a
+    ``contextlib.contextmanager`` generator, which cost about as much
+    again as the lock itself; it holds no state, so every thread shares
+    the lock's one instance per side."""
+
+    __slots__ = ("_acquire", "_release")
+
+    def __init__(self, acquire, release):
+        self._acquire = acquire
+        self._release = release
+
+    def __enter__(self):
+        self._acquire()
+
+    def __exit__(self, *exc_info):
+        self._release()
 
 
 class ReadWriteLock:
@@ -31,6 +50,8 @@ class ReadWriteLock:
         self._writer_active = False
         self._writers_waiting = 0
         self.name = name
+        self._read_side = _Held(self.acquire_read, self.release_read)
+        self._write_side = _Held(self.acquire_write, self.release_write)
 
     def _note_acquire(self):
         if self.name is None:
@@ -59,12 +80,14 @@ class ReadWriteLock:
         """Take shared access; returns ``False`` on timeout."""
         witness = self._note_acquire()
         with self._cond:
-            if not self._cond.wait_for(
-                lambda: not self._writer_active and not self._writers_waiting,
-                timeout,
-            ):
-                self._note_failed(witness)
-                return False
+            # Uncontended, skip ``wait_for``: it would only re-test this.
+            if self._writer_active or self._writers_waiting:
+                if not self._cond.wait_for(
+                    lambda: not self._writer_active and not self._writers_waiting,
+                    timeout,
+                ):
+                    self._note_failed(witness)
+                    return False
             self._readers += 1
             return True
 
@@ -106,21 +129,13 @@ class ReadWriteLock:
 
     # -- context managers ----------------------------------------------------
 
-    @contextmanager
     def read_locked(self):
-        self.acquire_read()
-        try:
-            yield
-        finally:
-            self.release_read()
+        """``with lock.read_locked():`` holds shared access."""
+        return self._read_side
 
-    @contextmanager
     def write_locked(self):
-        self.acquire_write()
-        try:
-            yield
-        finally:
-            self.release_write()
+        """``with lock.write_locked():`` holds exclusive access."""
+        return self._write_side
 
     def __repr__(self):
         return "ReadWriteLock(readers=%d, writer=%r, writers_waiting=%d)" % (

@@ -1,5 +1,6 @@
 """ReadWriteLock semantics: sharing, exclusion, writer preference."""
 
+import sys
 import threading
 import time
 
@@ -88,5 +89,55 @@ def test_write_timeout_leaves_lock_usable():
     assert lock.acquire_read(timeout=1)
     lock.release_read()
     lock.release_read()
+    assert lock.acquire_write(timeout=1)
+    lock.release_write()
+
+
+@pytest.mark.timeout(60)
+def test_context_managers_exclude_under_contention():
+    """Every thread gets the lock's one ``read_locked``/``write_locked``
+    context manager per side: with more threads than cores and a short
+    switch interval, writers still exclude each other and every reader,
+    and a body that raises releases its side."""
+    lock = ReadWriteLock()
+    counter = threading.Lock()
+    state = {"readers": 0, "total": 0, "overlaps": 0}
+
+    def reader():
+        for _ in range(300):
+            with lock.read_locked():
+                with counter:
+                    state["readers"] += 1
+                with counter:
+                    state["readers"] -= 1
+
+    def writer():
+        for _ in range(300):
+            with lock.write_locked():
+                if state["readers"]:
+                    state["overlaps"] += 1
+                total = state["total"]
+                time.sleep(0)
+                state["total"] = total + 1
+
+    threads = [threading.Thread(target=reader) for _ in range(4)]
+    threads += [threading.Thread(target=writer) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert state == {"readers": 0, "total": 1200, "overlaps": 0}
+    with pytest.raises(ValueError):
+        with lock.write_locked():
+            raise ValueError("body failed")
+    with pytest.raises(ValueError):
+        with lock.read_locked():
+            raise ValueError("body failed")
     assert lock.acquire_write(timeout=1)
     lock.release_write()
