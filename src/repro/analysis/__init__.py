@@ -6,11 +6,6 @@ exponent, KS-minimising lower bound and a semi-parametric bootstrap
 goodness-of-fit p-value (Table 2).
 """
 
-from repro.analysis.concentration import (
-    gini_coefficient,
-    lorenz_curve,
-    pareto_share,
-)
 from repro.analysis.powerlaw import (
     GoodnessOfFit,
     PowerLawFit,
@@ -27,7 +22,4 @@ __all__ = [
     "goodness_of_fit",
     "powerlaw_cdf",
     "sample_discrete_powerlaw",
-    "pareto_share",
-    "gini_coefficient",
-    "lorenz_curve",
 ]

@@ -32,8 +32,9 @@ itself maintains; digests replay their logged deltas, which reproduce
 the logged ``value_after`` exactly because each successor tracks the
 source's per-POI state in LSN order — then the routing table is
 rewritten (low successor in the source's slot, high successor
-appended) and the manifest naming the successors is fsynced.  That
-manifest write is the commit point.
+appended) and the manifest naming the successors is written through
+:func:`~repro.reliability.wal.durable_write` (file, then directory,
+fsynced).  That manifest write is the commit point.
 
 After the cutover the successors' metadata flips to *committed*
 (manifest first, then meta:  :func:`~repro.cluster.state

@@ -32,6 +32,7 @@ from typing import Any
 from repro.cluster.coordinator import ClusterStateError, ClusterTree, Shard
 from repro.cluster.planner import ShardPlan
 from repro.reliability.recovery import CheckpointedIngest, recover
+from repro.reliability.wal import durable_write
 
 __all__ = [
     "MANIFEST_NAME",
@@ -102,13 +103,9 @@ def manifest_payload(
 def write_manifest_payload(directory: str, payload: dict[str, Any]) -> str:
     """Atomically write a manifest payload under ``directory``."""
     path = _manifest_path(directory)
-    temp_path = path + ".tmp"
-    with open(temp_path, "w", encoding="utf-8") as handle:
+    with durable_write(path) as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp_path, path)
     return path
 
 
@@ -142,17 +139,13 @@ def write_shard_meta(
     (see :func:`check_reshard_consistency`).
     """
     path = os.path.join(shard_dir, SHARD_META_NAME)
-    temp_path = path + ".tmp"
-    with open(temp_path, "w", encoding="utf-8") as handle:
+    with durable_write(path) as handle:
         json.dump(
             {"plan_epoch": plan_epoch, "committed": committed},
             handle,
             sort_keys=True,
         )
         handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp_path, path)
     return path
 
 

@@ -66,9 +66,13 @@ from repro.core.query import KNNTAQuery, Normalizer, RankedAnswer
 from repro.core.tar_tree import POI
 from repro.devtools.lockmodel import SHARD_RW
 from repro.reliability.recovery import CheckpointedIngest, recover
-from repro.reliability.wal import RECORD_CHECKPOINT, read_wal
+from repro.reliability.wal import RECORD_CHECKPOINT, durable_write, read_wal
 from repro.service.locks import ReadWriteLock
-from repro.service.server import PROTO_VERSION, proto_mismatch_response
+from repro.service.server import (
+    PROTO_VERSION,
+    _parse_query,
+    proto_mismatch_response,
+)
 from repro.service.scrubber import Scrubber
 from repro.spatial.geometry import Rect
 from repro.storage.stats import AccessStats
@@ -116,18 +120,6 @@ def _parsed(parse: Callable[[], _T]) -> _T:
         raise _BadRequest(
             "malformed request: %s: %s" % (type(exc).__name__, exc)
         ) from exc
-
-
-def _parse_query(payload: dict[str, Any]) -> KNNTAQuery:
-    point = payload["point"]
-    lo, hi = payload["interval"]
-    return KNNTAQuery(
-        point=(float(point[0]), float(point[1])),
-        interval=TimeInterval(lo, hi),
-        k=int(payload.get("k", 10)),
-        alpha0=float(payload.get("alpha0", 0.3)),
-        semantics=IntervalSemantics(payload.get("semantics", "intersects")),
-    )
 
 
 def _parse_normalizer(payload: dict[str, Any]) -> Normalizer:
@@ -480,13 +472,9 @@ class ShardWorkerServer:
             "proto": PROTO_VERSION,
             "name": self.name,
         }
-        temp_path = path + ".tmp"
-        with open(temp_path, "w", encoding="utf-8") as handle:
+        with durable_write(path) as handle:
             json.dump(payload, handle, sort_keys=True)
             handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp_path, path)
         return path
 
     def start(self) -> "ShardWorkerServer":

@@ -199,10 +199,6 @@ class SubscriptionRegistry:
         with self._mutex:
             return self._subscriptions.pop(sub_id, None) is not None
 
-    def subscription_ids(self) -> List[int]:
-        with self._mutex:
-            return sorted(self._subscriptions)
-
     def __len__(self) -> int:
         with self._mutex:
             return len(self._subscriptions)

@@ -146,24 +146,6 @@ class CostModel:
         return cls(n_tail, beta, xmin, max_aggregate, capacity, **kwargs)
 
     # ------------------------------------------------------------------
-    # Layer structure
-    # ------------------------------------------------------------------
-
-    def layer_probability(self, x: float) -> float:
-        """``p(x)`` under the fitted power law."""
-        from scipy.special import zeta as hurwitz_zeta
-
-        return float(x ** (-self.beta) / hurwitz_zeta(self.beta, self.xmin))
-
-    def layer_count(self, x: float) -> float:
-        """Expected POIs on layer ``x``."""
-        return self.n_pois * self.layer_probability(x)
-
-    def layer_height(self, x: float) -> float:
-        """Normalised height of layer ``x`` in the unit cube."""
-        return 1.0 - x / float(self.max_aggregate)
-
-    # ------------------------------------------------------------------
     # Search region (Section 6.2)
     # ------------------------------------------------------------------
 

@@ -207,17 +207,3 @@ def _best_first(
         child = cast("Node", entry.child)
         record_node(child.is_leaf)
         expand(child)
-
-
-def knnta_search_exhaustive(
-    tree: TARTree, query: KNNTAQuery, normalizer: Normalizer | None = None
-) -> RankedAnswer:
-    """Rank *every* POI by BFS order.
-
-    Equivalent to :func:`knnta_search` with ``k = len(tree)`` but keeps
-    the caller's ``k`` untouched; returns the full ranked list.
-    """
-    if normalizer is None:
-        normalizer = tree.normalizer(query.interval, query.semantics)
-    full = query._replace(k=max(1, len(tree)))
-    return knnta_search(tree, full, normalizer=normalizer)

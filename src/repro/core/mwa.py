@@ -75,17 +75,6 @@ class MWAResult(NamedTuple):
             candidates.append(self.gamma_upper - self.alpha0)
         return min(candidates) if candidates else None
 
-    @property
-    def nearest_weight(self) -> float | None:
-        """The boundary weight nearest to ``alpha0`` (``None`` if immutable)."""
-        down = self.alpha0 - self.gamma_lower if self.gamma_lower is not None else None
-        up = self.gamma_upper - self.alpha0 if self.gamma_upper is not None else None
-        if down is None and up is None:
-            return None
-        if up is None or (down is not None and down <= up):
-            return self.gamma_lower
-        return self.gamma_upper
-
 
 def mwa_from_pairs(
     topk_pairs: Sequence[Sequence[float]],

@@ -5,7 +5,7 @@ recovery as first-class; this package gives the reproduction the same
 footing.  Four cooperating pieces:
 
 * :mod:`repro.reliability.faults` — a deterministic, seedable fault
-  injector over the simulated storage layer (TIA reads, buffer pool,
+  injector over the simulated storage layer (TIA reads and
   snapshot I/O) plus file-corruption helpers, so every robustness claim
   is exercised by a test rather than assumed.
 * :mod:`repro.reliability.validate` — deep invariant validators for
@@ -28,7 +28,6 @@ footing.  Four cooperating pieces:
 
 from repro.reliability.faults import (
     FaultInjector,
-    FaultyBufferPool,
     FaultyTIA,
     TransientIOError,
     constant,
@@ -67,7 +66,6 @@ from repro.reliability.wal import (
 
 __all__ = [
     "FaultInjector",
-    "FaultyBufferPool",
     "FaultyTIA",
     "TransientIOError",
     "constant",

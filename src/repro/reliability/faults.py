@@ -3,12 +3,12 @@
 Every robustness claim in this library is testable because the failure
 modes are injected, not hoped for.  A :class:`FaultInjector` is a
 seeded random source plus a set of named *sites* (``"tia"``,
-``"buffer"``, ``"io"``, ...), each with a probability *schedule* mapping
-the attempt index to a failure probability.  The storage wrappers —
-:class:`FaultyTIA` around any TIA backend, :class:`FaultyBufferPool`
-around the LRU pool, and :meth:`FaultInjector.open` around snapshot
-file I/O — consult their site before every operation and raise
-:class:`TransientIOError` when the schedule fires.
+``"io"``, ...), each with a probability *schedule* mapping the attempt
+index to a failure probability.  The storage wrappers —
+:class:`FaultyTIA` around any TIA backend and
+:meth:`FaultInjector.open` around snapshot file I/O — consult their
+site before every operation and raise :class:`TransientIOError` when
+the schedule fires.
 
 Corruption (as opposed to transient failure) is injected with the file
 mutators :func:`flip_bit`, :func:`truncate_file` and :func:`torn_write`,
@@ -23,9 +23,7 @@ import math
 import os
 import random
 import time
-from contextlib import contextmanager
 
-from repro.storage.buffer import LRUBufferPool
 from repro.temporal.tia import BaseTIA
 
 
@@ -103,7 +101,6 @@ class FaultInjector:
     def __init__(self, seed=0, rates=None, sleep=time.sleep):
         self._rng = random.Random(seed)
         self._sites = {}
-        self.enabled = True
         self._sleep = sleep
         for site, probability in (rates or {}).items():
             self.configure(site, rate=probability)
@@ -157,7 +154,7 @@ class FaultInjector:
             return False
         probability = entry.schedule(entry.attempts)
         entry.attempts += 1
-        if not self.enabled or probability <= 0.0:
+        if probability <= 0.0:
             return False
         if self._rng.random() < probability:
             entry.injected += 1
@@ -187,16 +184,6 @@ class FaultInjector:
             % (site, self.attempts(site))
         )
 
-    @contextmanager
-    def suspended(self):
-        """Context manager silencing every site (attempts still count)."""
-        previous = self.enabled
-        self.enabled = False
-        try:
-            yield self
-        finally:
-            self.enabled = previous
-
     def open(self, path, mode="r", **kwargs):
         """``open``-compatible wrapper faulting at site ``"io"``.
 
@@ -211,27 +198,12 @@ class FaultInjector:
             "%s:%d/%d" % (site, entry.injected, entry.attempts)
             for site, entry in sorted(self._sites.items())
         )
-        return "FaultInjector(enabled=%r, %s)" % (self.enabled, armed or "idle")
+        return "FaultInjector(%s)" % (armed or "idle")
 
 
 # ---------------------------------------------------------------------------
 # Storage wrappers
 # ---------------------------------------------------------------------------
-
-
-class FaultyBufferPool(LRUBufferPool):
-    """An :class:`LRUBufferPool` whose accesses can fail transiently."""
-
-    __slots__ = ("injector", "site")
-
-    def __init__(self, capacity, injector, site="buffer"):
-        super().__init__(capacity)
-        self.injector = injector
-        self.site = site
-
-    def access(self, page_id):
-        self.injector.check(self.site)
-        return super().access(page_id)
 
 
 class FaultyTIA(BaseTIA):

@@ -35,6 +35,7 @@ import zlib
 from collections import deque
 
 from repro.core.tar_tree import TARTree
+from repro.reliability.wal import durable_write
 
 DEFAULT_SCRUB_BUDGET = 32
 MAX_EVENTS = 256
@@ -171,10 +172,8 @@ class Scrubber:
                 self._manifest.items(), key=lambda item: (str(type(item[0])), str(item[0]))
             ),
         }
-        temp_path = self.manifest_path + ".tmp"
-        with open(temp_path, "w") as handle:
+        with durable_write(self.manifest_path) as handle:
             json.dump(payload, handle)
-        os.replace(temp_path, self.manifest_path)
         self._manifest_dirty = False
 
     # ------------------------------------------------------------------

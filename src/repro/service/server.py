@@ -72,6 +72,7 @@ while the exception type and text are kept server-side in
 import json
 import socketserver
 import threading
+from typing import Any
 
 from repro.core.query import KNNTAQuery
 from repro.core.tar_tree import POI
@@ -105,7 +106,8 @@ def proto_mismatch_response(announced):
     }
 
 
-def _parse_query(payload):
+def _parse_query(payload: dict[str, Any]) -> KNNTAQuery:
+    """A JSON-lines ``query`` frame's query (the worker's frames too)."""
     point = payload["point"]
     lo, hi = payload["interval"]
     return KNNTAQuery(

@@ -7,7 +7,7 @@ for both its 2-D (``IND-spa``) and 3-D (integral-3D) grouping strategies.
 classic in-memory spatial index.
 """
 
-from repro.spatial.geometry import Rect, point_distance, rect_min_dist
+from repro.spatial.geometry import Rect, point_distance
 from repro.spatial.rstar import RStarTree
 
-__all__ = ["Rect", "RStarTree", "point_distance", "rect_min_dist"]
+__all__ = ["Rect", "RStarTree", "point_distance"]

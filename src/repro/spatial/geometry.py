@@ -186,13 +186,3 @@ def point_distance(a: Sequence[float], b: Sequence[float]) -> float:
         delta = av - bv
         total += delta * delta
     return math.sqrt(total)
-
-
-def rect_min_dist(rect: Rect, point: Sequence[float]) -> float:
-    """Module-level alias of :meth:`Rect.min_dist` for functional callers."""
-    return rect.min_dist(point)
-
-
-def manhattan_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    """L1 distance between two equal-length sequences."""
-    return sum(abs(av - bv) for av, bv in zip(a, b))

@@ -523,23 +523,6 @@ class RStarTree:
                         stack.append(cast(Node, entry.child))
         return results
 
-    def search_contained(self, rect: Rect) -> list[Any]:
-        """Return the items whose rectangles lie entirely inside ``rect``."""
-        results: list[Any] = []
-        if not self.root.entries:
-            return results
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            self._record_access(node)
-            for entry in node.entries:
-                if node.is_leaf:
-                    if rect.contains_rect(entry.rect):
-                        results.append(entry.item)
-                elif entry.rect.intersects(rect):
-                    stack.append(cast(Node, entry.child))
-        return results
-
     def nearest(self, point: Sequence[float], k: int = 1) -> list[tuple[float, Any]]:
         """Return the ``k`` items nearest to ``point`` (best-first search).
 

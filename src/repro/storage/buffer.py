@@ -7,9 +7,7 @@ access is free; a miss costs one (simulated) disk page access.  For the
 buffer at all, which is modelled here by ``capacity=0``.
 
 Besides hit/miss counters the pool tracks *evictions* (pages pushed out
-by the LRU policy) separately from deliberate drops (``invalidate`` /
-``clear``), so chaos tests can assert exactly which pages are resident
-and why one left.
+by the LRU policy) separately from a deliberate ``clear``.
 """
 
 from __future__ import annotations
@@ -33,8 +31,7 @@ class LRUBufferPool:
 
     Counter contract: ``hits + misses`` equals the number of ``access``
     calls; ``evictions`` counts only capacity-driven LRU drops, never
-    pages removed by :meth:`invalidate` or :meth:`clear` (those are
-    deliberate, not pressure).  ``reset_counters`` zeroes all three.
+    pages removed by :meth:`clear` (a deliberate flush, not pressure).
     """
 
     __slots__ = ("capacity", "_slots", "hits", "misses", "evictions")
@@ -65,35 +62,15 @@ class LRUBufferPool:
             self.evictions += 1
         return False
 
-    def invalidate(self, page_id: Hashable) -> bool:
-        """Drop ``page_id`` from the pool (e.g. after a page is freed).
-
-        Returns ``True`` when the page was resident.  Deliberate drops
-        are not counted as evictions.
-        """
-        return self._slots.pop(page_id, None) is not None
-
     def clear(self) -> int:
         """Empty the pool; returns the number of pages dropped.
 
-        Neither the hit/miss counters nor the eviction counter move —
-        ``clear`` models a deliberate flush, not cache pressure, so a
-        later :meth:`invalidate` of a cleared page correctly reports the
-        page as absent.
+        Neither the hit/miss counters nor the eviction counter move:
+        ``clear`` models a deliberate flush, not cache pressure.
         """
         dropped = len(self._slots)
         self._slots.clear()
         return dropped
-
-    def reset_counters(self) -> None:
-        """Zero the hit/miss/eviction counters."""
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def resident_pages(self) -> tuple[Hashable, ...]:
-        """Resident page ids, least- to most-recently used."""
-        return tuple(self._slots)
 
     def __len__(self) -> int:
         return len(self._slots)

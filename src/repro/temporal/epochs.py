@@ -33,10 +33,6 @@ class TimeInterval:
         self.start = start
         self.end = end
 
-    @property
-    def length(self) -> float:
-        return self.end - self.start
-
     def intersects(self, ts: float, te: float) -> bool:
         """True when the epoch ``[ts, te)`` intersects this interval."""
         return ts <= self.end and te > self.start
@@ -44,9 +40,6 @@ class TimeInterval:
     def contains(self, ts: float, te: float) -> bool:
         """True when the epoch ``[ts, te)`` lies inside this interval."""
         return ts >= self.start - _EPSILON and te <= self.end + _EPSILON
-
-    def contains_time(self, t: float) -> bool:
-        return self.start <= t <= self.end
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, NamedTuple
-
-if TYPE_CHECKING:
-    from repro.temporal.epochs import EpochClock, VariedEpochClock
+from typing import NamedTuple
 
 
 class TemporalRecord(NamedTuple):
@@ -21,15 +18,3 @@ class TemporalRecord(NamedTuple):
     ts: float
     te: float
     agg: int
-
-
-def records_from_epochs(
-    epoch_aggregates: Mapping[int, int],
-    clock: EpochClock | VariedEpochClock,
-) -> list[TemporalRecord]:
-    """Materialise ``TemporalRecord`` triples from ``{epoch_index: agg}``."""
-    return [
-        TemporalRecord(*clock.bounds(index), agg)
-        for index, agg in sorted(epoch_aggregates.items())
-        if agg > 0
-    ]

@@ -42,7 +42,6 @@ class TestSubscribe:
         first, _ = registry.subscribe((40.0, 40.0), 3)
         second, _ = registry.subscribe((10.0, 10.0), 2)
         assert second.id > first.id
-        assert registry.subscription_ids() == [first.id, second.id]
         assert len(registry) == 2
 
     def test_subscribe_after_close_raises(self, half_tree):
@@ -198,7 +197,6 @@ class TestClose:
         assert half_tree._mutation_observers == observers
         registry.close()
         assert len(registry) == 0
-        assert registry.subscription_ids() == []
 
     def test_close_is_idempotent_and_advance_is_inert(self, half_tree):
         registry = SubscriptionRegistry(half_tree)

@@ -47,18 +47,21 @@ class TestLayers:
     def test_probabilities_sum_to_at_most_one(self, model):
         assert model._probabilities.sum() <= 1.0 + 1e-9
 
+    # The per-layer arrays hold one cell per layer x = xmin..max_aggregate.
     def test_probability_decreases_with_x(self, model):
-        assert model.layer_probability(5) > model.layer_probability(50)
+        x = model.xmin
+        assert model._probabilities[5 - x] > model._probabilities[50 - x]
 
     def test_counts_proportional_to_n(self):
         small = CostModel(100, 2.5, 5, 500, 36)
         large = CostModel(1000, 2.5, 5, 500, 36)
-        assert large.layer_count(10) == pytest.approx(10 * small.layer_count(10))
+        assert large._counts[10 - 5] == pytest.approx(10 * small._counts[10 - 5])
 
     def test_heights(self, model):
-        assert model.layer_height(500) == 0.0
-        assert model.layer_height(250) == pytest.approx(0.5)
-        assert model.layer_height(5) == pytest.approx(0.99)
+        x = model.xmin
+        assert model._heights[500 - x] == 0.0
+        assert model._heights[250 - x] == pytest.approx(0.5)
+        assert model._heights[5 - x] == pytest.approx(0.99)
 
 
 class TestBoundaryCorrection:

@@ -61,7 +61,7 @@ class TestExtremes:
     def test_single_layer_model(self):
         # Degenerate case: xmin == max_aggregate, everything on one layer.
         model = CostModel(100, 2.5, 7, 7, capacity=36)
-        assert model.layer_height(7) == 0.0
+        assert list(model._heights) == [0.0]
         fpk = model.estimate_fpk(5, 0.3)
         assert 0.0 < fpk <= 1.0
         assert model.estimate_node_accesses(k=5, alpha0=0.3) >= 0.0

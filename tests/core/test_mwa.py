@@ -71,7 +71,8 @@ class TestTable3MWA:
         lower = [TABLE_3[p] for p in ("p3", "p4", "p5", "p6")]
         result = mwa_from_pairs(topk, lower, alpha0=0.5)
         assert result.minimum_adjustment == pytest.approx(0.5 - 1 / 3)
-        assert result.nearest_weight == pytest.approx(1 / 3)
+        # The nearest boundary is the lower one, 1/3.
+        assert result.alpha0 - result.minimum_adjustment == pytest.approx(1 / 3)
 
     def test_crossing_the_boundary_changes_exactly_one_poi(self):
         """Crossing Gamma_u swaps exactly one top-k POI (Section 7.1)."""
@@ -93,12 +94,10 @@ class TestResultType:
     def test_immutable_result(self):
         result = MWAResult(0.5, None, None)
         assert result.minimum_adjustment is None
-        assert result.nearest_weight is None
 
     def test_one_sided(self):
         result = MWAResult(0.5, 0.2, None)
         assert result.minimum_adjustment == pytest.approx(0.3)
-        assert result.nearest_weight == 0.2
 
 
 def build_tree(n=200, seed=0, strategy="integral3d"):

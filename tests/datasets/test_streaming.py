@@ -135,13 +135,13 @@ class TestBrowse:
         ]
 
     def test_browse_exhausts_to_full_ranking(self, data):
-        from repro.core.knnta import knnta_browse, knnta_search_exhaustive
+        from repro.core.knnta import knnta_browse
 
         tree = TARTree.build(data.snapshot(0.4), until_time=data.tc)
         query = KNNTAQuery((70.0, 10.0), TimeInterval(0, 300), k=1)
         browsed = list(knnta_browse(tree, query))
         assert len(browsed) == len(tree)
-        full = knnta_search_exhaustive(tree, query)
+        full = knnta_search(tree, query._replace(k=len(tree)))
         assert [r.poi_id for r in browsed] == [r.poi_id for r in full]
 
     def test_browse_charges_io_lazily(self, data):

@@ -28,8 +28,9 @@ class TestGeneration:
         # Lengths beyond the data set span are clipped to it (512 > 365).
         allowed = [min(float(c), dataset.span_days) for c in DEFAULT_INTERVAL_CHOICES]
         for query in workload:
+            length = query.interval.end - query.interval.start
             # Float placement arithmetic: compare up to rounding error.
-            assert min(abs(query.interval.length - c) for c in allowed) < 1e-6
+            assert min(abs(length - c) for c in allowed) < 1e-6
 
     def test_intervals_inside_span(self, dataset):
         workload = generate_queries(dataset, n_queries=200, seed=2)
@@ -52,7 +53,7 @@ class TestGeneration:
         short = generate("short", 100, 500, 10, 2.5, 5, seed=2)
         workload = generate_queries(short, n_queries=50, seed=5)
         for query in workload:
-            assert query.interval.length <= short.span_days
+            assert (query.interval.end - query.interval.start) <= short.span_days
 
     def test_reproducible(self, dataset):
         a = generate_queries(dataset, n_queries=30, seed=6)

@@ -8,7 +8,6 @@ from repro import POI, TARTree
 from repro.reliability.faults import (
     FatalFaultError,
     FaultInjector,
-    FaultyBufferPool,
     FaultyTIA,
     TransientIOError,
     constant,
@@ -75,15 +74,6 @@ class TestFaultInjector:
         fired = sum(injector.fires("tia") for _ in range(5000))
         assert 350 < fired < 650  # ~10% of 5000
 
-    def test_suspended_silences_but_counts_attempts(self):
-        injector = FaultInjector(seed=0, rates={"tia": 1.0})
-        with injector.suspended():
-            injector.check("tia")  # no raise
-        assert injector.attempts("tia") == 1
-        assert injector.injected("tia") == 0
-        with pytest.raises(TransientIOError):
-            injector.check("tia")
-
     def test_disarm(self):
         injector = FaultInjector(seed=0, rates={"tia": 1.0})
         injector.disarm("tia")
@@ -137,18 +127,6 @@ class TestFaultInjector:
             injector.open(path)
         with injector.open(path) as handle:
             assert handle.read() == "hello"
-
-
-class TestFaultyBufferPool:
-    def test_faults_before_touching_counters(self):
-        injector = FaultInjector(seed=0)
-        injector.configure("buffer", schedule=first_n(1))
-        pool = FaultyBufferPool(4, injector)
-        with pytest.raises(TransientIOError):
-            pool.access("p")
-        assert pool.hits == 0 and pool.misses == 0
-        assert pool.access("p") is False
-        assert pool.access("p") is True
 
 
 class TestFaultyTIA:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.spatial.geometry import Rect, manhattan_distance, point_distance
+from repro.spatial.geometry import Rect, point_distance
 
 
 def rect_strategy(dims=2, low=-100.0, high=100.0):
@@ -120,9 +120,6 @@ class TestMinDist:
 
     def test_point_distance(self):
         assert point_distance((0, 0), (3, 4)) == 5.0
-
-    def test_manhattan_distance(self):
-        assert manhattan_distance((1, 2, 3), (3, 0, 3)) == 4
 
 
 @given(rect_strategy(), rect_strategy())

@@ -134,7 +134,6 @@ class TestRStarTree:
         window = Rect((20, 20), (60, 70))
         expected = {i for i, p in enumerate(points) if window.contains_point(p)}
         assert set(tree.search(window)) == expected
-        assert set(tree.search_contained(window)) == expected
 
     def test_knn_matches_brute_force(self):
         points = random_points(500, seed=3)

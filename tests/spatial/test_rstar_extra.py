@@ -69,16 +69,6 @@ class TestAccessAccounting:
         full_window = stats.rtree_nodes
         assert 0 < small_window < full_window == tree.node_count()
 
-    def test_search_contained_counts_nodes(self):
-        stats = AccessStats()
-        tree = RStarTree(dims=2, capacity=8, stats=stats)
-        rng = random.Random(6)
-        for i in range(100):
-            tree.insert(Rect.from_point((rng.random(), rng.random())), i)
-        stats.reset()
-        tree.search_contained(Rect((0.25, 0.25), (0.75, 0.75)))
-        assert stats.rtree_nodes > 0
-
 
 class TestBalancedGroupSizes:
     def test_single_group_when_it_fits(self):

@@ -47,13 +47,6 @@ def test_negative_capacity_rejected():
         LRUBufferPool(-1)
 
 
-def test_invalidate_forces_miss():
-    pool = LRUBufferPool(4)
-    pool.access("a")
-    pool.invalidate("a")
-    assert pool.access("a") is False
-
-
 def test_clear_keeps_counters():
     pool = LRUBufferPool(4)
     pool.access("a")
@@ -62,14 +55,6 @@ def test_clear_keeps_counters():
     assert len(pool) == 0
     assert pool.hits == 1
     assert pool.misses == 1
-
-
-def test_reset_counters():
-    pool = LRUBufferPool(4)
-    pool.access("a")
-    pool.reset_counters()
-    assert pool.hits == 0 and pool.misses == 0
-    assert "a" in pool
 
 
 def test_resident_set_never_exceeds_capacity():
@@ -105,47 +90,8 @@ def test_eviction_counter_counts_only_pressure():
     assert pool.evictions == 0
     pool.access("c")  # evicts a
     assert pool.evictions == 1
-    pool.invalidate("b")  # deliberate: not an eviction
-    pool.clear()
+    pool.clear()  # deliberate: not an eviction
     assert pool.evictions == 1
-
-
-def test_invalidate_reports_residency():
-    pool = LRUBufferPool(2)
-    pool.access("a")
-    assert pool.invalidate("a") is True
-    assert pool.invalidate("a") is False
-    assert pool.invalidate("never-seen") is False
-
-
-def test_clear_returns_dropped_count_then_invalidate_sees_nothing():
-    pool = LRUBufferPool(4)
-    for page in ("a", "b", "c"):
-        pool.access(page)
-    assert pool.clear() == 3
-    assert pool.clear() == 0
-    # The interplay that used to be easy to get wrong: after a clear,
-    # invalidating a previously-resident page must report absence.
-    assert pool.invalidate("a") is False
-
-
-def test_resident_pages_lru_to_mru_order():
-    pool = LRUBufferPool(3)
-    for page in ("a", "b", "c"):
-        pool.access(page)
-    pool.access("a")  # refresh
-    assert pool.resident_pages() == ("b", "c", "a")
-    pool.access("d")  # evicts b
-    assert pool.resident_pages() == ("c", "a", "d")
-
-
-def test_reset_counters_zeroes_evictions():
-    pool = LRUBufferPool(1)
-    pool.access("a")
-    pool.access("b")
-    assert pool.evictions == 1
-    pool.reset_counters()
-    assert (pool.hits, pool.misses, pool.evictions) == (0, 0, 0)
 
 
 class _ModelPool:
@@ -171,9 +117,6 @@ class _ModelPool:
             self.evictions += 1
         return False
 
-    def invalidate(self, page):
-        return self.pages.pop(page, None) is not None
-
     def clear(self):
         dropped = len(self.pages)
         self.pages.clear()
@@ -182,7 +125,6 @@ class _ModelPool:
 
 _OPERATIONS = st.one_of(
     st.tuples(st.just("access"), st.integers(0, 6)),
-    st.tuples(st.just("invalidate"), st.integers(0, 6)),
     st.tuples(st.just("clear"), st.none()),
 )
 
@@ -190,18 +132,19 @@ _OPERATIONS = st.one_of(
 @given(st.integers(0, 4), st.lists(_OPERATIONS, max_size=300))
 def test_property_matches_reference_model(capacity, operations):
     # Drive the pool and an independently written model through the same
-    # interleaving of access/invalidate/clear; every observable (return
-    # values, counters, residency, order) must agree at every step.
+    # interleaving of access/clear; every observable (return values,
+    # counters, residency) must agree at every step, so the LRU order
+    # shows in which page each later eviction drops.
     pool = LRUBufferPool(capacity)
     model = _ModelPool(capacity)
     for name, argument in operations:
         if name == "access":
             assert pool.access(argument) == model.access(argument)
-        elif name == "invalidate":
-            assert pool.invalidate(argument) == model.invalidate(argument)
         else:
             assert pool.clear() == model.clear()
-        assert pool.resident_pages() == tuple(model.pages)
+        assert [page in pool for page in range(7)] == [
+            page in model.pages for page in range(7)
+        ]
         assert (pool.hits, pool.misses, pool.evictions) == (
             model.hits,
             model.misses,

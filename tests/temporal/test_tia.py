@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.storage.stats import AccessStats
 from repro.temporal.epochs import EpochClock, TimeInterval
-from repro.temporal.records import TemporalRecord, records_from_epochs
+from repro.temporal.records import TemporalRecord
 from repro.temporal.tia import (
     IntervalSemantics,
     MemoryTIA,
@@ -184,12 +184,6 @@ class TestFactory:
     def test_unknown_backend(self):
         with pytest.raises(ValueError):
             make_tia_factory("nope")
-
-
-def test_records_from_epochs_helper():
-    clock = EpochClock(0.0, 2.0)
-    records = records_from_epochs({1: 4, 0: 0, 3: 2}, clock)
-    assert records == [TemporalRecord(2.0, 4.0, 4), TemporalRecord(6.0, 8.0, 2)]
 
 
 @settings(max_examples=40, deadline=None)
