@@ -13,7 +13,8 @@ across subscriber fan-outs and window sizes.  Identity is asserted
 inline: after every advance each subscription's rows, its batch rows
 and its ``tree.query()`` rows must be equal.  No wall-clock bar is set;
 the series lands in ``BENCH_continuous.json`` with the host it ran on.
-``REPRO_BENCH_SMOKE=1`` shrinks the fixture for the CI smoke leg.
+``REPRO_BENCH_SMOKE=1`` shrinks the fixture for the CI smoke leg and
+writes ``BENCH_continuous.smoke.json`` instead.
 
 A digest invalidates the packed frames of the nodes it touched, and
 whichever side runs first after it rebuilds them, so the two sides
@@ -21,17 +22,14 @@ take turns going first.
 """
 
 import functools
-import os
 import random
 import time
 
-from _harness import write_bench
+from _harness import SMOKE, write_bench
 from repro import KNNTAQuery, TARTree, datasets
 from repro.continuous import SubscriptionRegistry, window_state
 from repro.core.collective import CollectiveProcessor
 from repro.datasets.streaming import epoch_stream
-
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
 DATASET = "GS"
 SCALE = 0.3 if SMOKE else 1.0

@@ -21,23 +21,21 @@ short epoch shows up there.
 Trees are built directly here (the shared ``_harness`` trees disable
 frames on purpose: the per-figure benchmarks reproduce the paper's
 object-path cost model).  ``REPRO_BENCH_SMOKE=1`` shrinks the dataset
-and relaxes the bar to "not slower" for the CI smoke leg.
+and relaxes the bar to "not slower" for the CI smoke leg, and the series
+then lands in ``BENCH_packed.smoke.json``.
 """
 
 import functools
-import os
 import random
 import sys
 import time
 
 import pytest
-from _harness import write_bench
+from _harness import SMOKE, write_bench
 from repro import POI, ClusterTree, TARTree, datasets
 from repro.core.collective import CollectiveProcessor
 from repro.core.frames import build_frame
 from repro.core.knnta import knnta_search
-
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
 DATASET = "GS"
 #: The data sets whose built frames are measured (``frame_memory``),

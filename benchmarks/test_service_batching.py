@@ -15,22 +15,19 @@ CPU per query and the node totals of the service batch and of one
 collective batch of the same queries (whose answers must be equal too).
 No wall-clock bar is set; the series lands in ``BENCH_service.json``
 with the host it ran on.  ``REPRO_BENCH_SMOKE=1`` shrinks the fixture
-for the CI smoke leg.
+for the CI smoke leg and writes ``BENCH_service.smoke.json`` instead.
 """
 
 import functools
-import os
 import statistics
 import time
 
-from _harness import print_series, write_bench
+from _harness import SMOKE, print_series, write_bench
 from repro import AccessStats, TARTree, datasets
 from repro.core.collective import CollectiveProcessor
 from repro.datasets.workload import generate_queries
 from repro.service import QueryService, ServiceConfig
 from repro.temporal.epochs import TimeInterval
-
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
 DATASET = "GS"
 SCALE = 0.3 if SMOKE else 1.0

@@ -29,7 +29,8 @@ coordinators at 4 and 8 shards, asserting:
   once) and with sequential dispatch.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the fixture.  The series is emitted as
-``BENCH_workers.json`` for CI trend tracking.
+``BENCH_workers.json`` for CI trend tracking (``BENCH_workers.smoke.json``
+under smoke).
 """
 
 import functools
@@ -38,12 +39,10 @@ import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from _harness import print_series, write_bench
+from _harness import SMOKE, print_series, write_bench
 from repro import ClusterTree, TARTree, datasets
 from repro.cluster import RemoteClusterTree, save_cluster
 from repro.datasets.workload import generate_queries
-
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
 DATASET = "NYC"
 SCALE = 0.05 if SMOKE else 0.3
