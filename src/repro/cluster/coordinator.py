@@ -163,11 +163,14 @@ class ShardEndpoint(Protocol):
     endpoint checks the guard's ``token`` once it holds the shard lock,
     so a call abandoned at its deadline never applies late.  The
     mutations and ``describe`` keep ``descriptor`` (the pruning-bound
-    state) in step with the shard.  ``batch`` answers every query
-    under one shard snapshot, each cut at its inclusive ``cutoffs``
-    entry (``TARTree.query_batch``), and returns the call's node
-    accesses beside the rows; ``reopen`` recovers a fresh endpoint that
-    ``adopt`` cuts over to unless :func:`check_cutover` refuses.
+    state) in step with the shard.  A mutation returns the LSN its WAL
+    record took (``None`` without a WAL, or for a digest of no positive
+    count); ``delete`` returns it beside whether the POI was indexed.
+    ``batch`` answers every query under one shard snapshot, each cut at
+    its inclusive ``cutoffs`` entry (``TARTree.query_batch``), and
+    returns the call's node accesses beside the rows; ``reopen``
+    recovers a fresh endpoint that ``adopt`` cuts over to unless
+    :func:`check_cutover` refuses.
     """
 
     index: int
@@ -191,10 +194,10 @@ class ShardEndpoint(Protocol):
     def insert(
         self, token: CallToken, poi: POI, aggregates: Mapping[int, int] | None
     ) -> int | None: ...
-    def delete(self, token: CallToken, poi_id: Any) -> bool: ...
+    def delete(self, token: CallToken, poi_id: Any) -> tuple[bool, int | None]: ...
     def digest(
         self, token: CallToken, epoch_index: int, counts: Mapping[Any, int]
-    ) -> None: ...
+    ) -> int | None: ...
     def contains(self, poi_id: Any) -> bool: ...
     def describe(self) -> ShardDescriptor: ...
     def scrub(self, budget: int | None) -> int: ...
@@ -294,28 +297,32 @@ class Shard:
             self.descriptor.refresh(self.tree)
         return lsn
 
-    def delete(self, token: CallToken, poi_id: Any) -> bool:
+    def delete(self, token: CallToken, poi_id: Any) -> tuple[bool, int | None]:
+        lsn: int | None = None
         with self.lock.write_locked():
             token.check()
             self.descriptor.fresh = False
             if self.ingest is None:
                 deleted = self.tree.delete_poi(poi_id)
             else:
-                deleted = self.ingest.delete(poi_id) is not None
+                lsn = self.ingest.delete(poi_id)
+                deleted = lsn is not None
             self.descriptor.refresh(self.tree)
-        return deleted
+        return deleted, lsn
 
     def digest(
         self, token: CallToken, epoch_index: int, counts: Mapping[Any, int]
-    ) -> None:
+    ) -> int | None:
+        lsn: int | None = None
         with self.lock.write_locked():
             token.check()
             self.descriptor.fresh = False
             if self.ingest is None:
                 self.tree.digest_epoch(epoch_index, counts)
             else:
-                self.ingest.digest(epoch_index, counts)
+                lsn = self.ingest.digest(epoch_index, counts)
             self.descriptor.refresh(self.tree)
+        return lsn
 
     # -- maintenance and lifecycle ----------------------------------------
 
@@ -323,11 +330,9 @@ class Shard:
         if self.scrubber is None:
             from repro.service.scrubber import Scrubber
 
-            manifest_path = None
-            if self.ingest is not None:
-                manifest_path = (
-                    self.ingest.snapshot_path.rsplit(".json", 1)[0] + ".scrub.json"
-                )
+            manifest_path = (
+                None if self.ingest is None else self.ingest.scrub_manifest_path
+            )
             self.scrubber = Scrubber(self.tree, self.lock, manifest_path=manifest_path)
             self.tree.add_mutation_observer(self.scrubber.observe_mutation)
         return cast(int, self.scrubber.tick(budget))
@@ -1245,9 +1250,10 @@ class ClusterTree(Generic[_Endpoint]):
             if owner is None:
                 return False
             shard = owner
-            return self._guards[shard.index].call(
+            deleted, _lsn = self._guards[shard.index].call(
                 "mutate", lambda token: shard.delete(token, poi_id)
             )
+            return deleted
 
     def digest_epoch(self, epoch_index: int, counts: Mapping[Any, int]) -> None:
         """Digest one epoch batch, routed per owning shard.

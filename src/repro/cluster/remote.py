@@ -427,15 +427,17 @@ class RemoteShard:
         )
         return cast("int | None", response.get("lsn"))
 
-    def delete(self, token: CallToken, poi_id: Any) -> bool:
-        return bool(self._mutate({"op": "delete", "poi_id": poi_id}).get("deleted"))
+    def delete(self, token: CallToken, poi_id: Any) -> tuple[bool, int | None]:
+        response = self._mutate({"op": "delete", "poi_id": poi_id})
+        return bool(response.get("deleted")), cast("int | None", response.get("lsn"))
 
     def digest(
         self, token: CallToken, epoch_index: int, counts: Mapping[Any, int]
-    ) -> None:
-        self._mutate(
+    ) -> int | None:
+        response = self._mutate(
             {"op": "digest", "epoch": epoch_index, "counts": list(counts.items())}
         )
+        return cast("int | None", response.get("lsn"))
 
     # -- maintenance and lifecycle ----------------------------------------
 

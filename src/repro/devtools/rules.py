@@ -4,13 +4,13 @@ Each rule encodes one discipline this repository's correctness arguments
 rest on — the service's lock protocol, the WAL-before-apply contract,
 ``-O``-proof invariant checks, float-comparison hygiene in the numeric
 hot paths, exception hygiene on the reliability surface, guarded shard
-dispatch, and the whole-program concurrency rules: lock ordering
-against the canonical hierarchy (RT008), no blocking operations under
-exclusive locks (RT009), and no foreign callbacks under engine locks
-(RT010).  RT006 (warn-stacklevel) was retired with the last
-``warnings.warn`` call; its id is not reused.  The rule-by-rule
-rationale (with the paper/WAL/lock invariant each protects) lives in
-``docs/DEVTOOLS.md``.
+dispatch, one durable whole-file write (RT011), and the whole-program
+concurrency rules: lock ordering against the canonical hierarchy
+(RT008), no blocking operations under exclusive locks (RT009), and no
+foreign callbacks under engine locks (RT010).  RT006 (warn-stacklevel)
+was retired with the last ``warnings.warn`` call; its id is not reused.
+The rule-by-rule rationale (with the paper/WAL/lock invariant each
+protects) lives in ``docs/DEVTOOLS.md``.
 
 Per-file rules are pure functions of one
 :class:`~repro.devtools.engine.FileContext`; the concurrency rules are
@@ -90,7 +90,7 @@ ENDPOINT_DISPATCH_METHODS = frozenset(
     }
 )
 #: The far side of the guard: the guard itself, and the worker server a
-#: worker endpoint talks to (it *is* the shard, in its own process).
+#: worker endpoint talks to, which calls its own ``Shard``'s methods.
 _GUARD_EXEMPT_MODULES = ("repro.cluster.resilience", "repro.cluster.workers")
 
 #: Attribute names that hold foreign callables: observer, subscriber
@@ -1092,6 +1092,55 @@ class NoForeignCallbackUnderLockRule(ProgramRule):
         if isinstance(func, ast.Attribute):
             return func.attr in CALLBACK_ATTRS
         return False
+
+
+@rule
+class DurableWriteOnlyRule(Rule):
+    """RT011: only ``durable_write`` replaces a file.
+
+    :func:`repro.reliability.wal.durable_write` is the program's one
+    whole-file write: a temp file of its own, fsynced, renamed over the
+    target, then the directory fsynced.  An ``os.replace`` or
+    ``os.rename`` anywhere else (or either name imported from ``os``)
+    is a second way to replace a file, one that can skip those steps.
+    """
+
+    rule_id = "RT011"
+    name = "durable-write-only"
+    rationale = (
+        "a rename outside durable_write can skip the fsyncs that make a "
+        "replaced file survive a crash"
+    )
+
+    _RENAMES = frozenset({"replace", "rename"})
+
+    def check(self, context: FileContext) -> Iterator[Finding]:
+        exempt: set[int] = set()
+        if context.module == "repro.reliability.wal":
+            for stmt in context.tree.body:
+                if isinstance(stmt, ast.FunctionDef) and stmt.name == "durable_write":
+                    exempt.update(id(node) for node in ast.walk(stmt))
+        for node in ast.walk(context.tree):
+            if id(node) in exempt:
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                renames = any(alias.name in self._RENAMES for alias in node.names)
+            else:
+                renames = (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in self._RENAMES
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "os"
+                )
+            if renames:
+                yield self.finding(
+                    context,
+                    node,
+                    "files are replaced only by "
+                    "repro.reliability.wal.durable_write; write through it "
+                    "instead of renaming here",
+                )
 
 
 def _short_key(key: str) -> str:

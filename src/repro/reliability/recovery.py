@@ -294,6 +294,9 @@ class CheckpointedIngest:
         self.log_path = _wal_path(directory, name)
         os.makedirs(directory, exist_ok=True)
         self.snapshot_path = os.path.join(directory, name + ".json")
+        #: Where a scrubber over this tree keeps its leaf-CRC manifest
+        #: (:class:`~repro.service.scrubber.Scrubber`).
+        self.scrub_manifest_path = os.path.join(directory, name + ".scrub.json")
         applied = tree.applied_lsn
         self.log = MutationWAL(
             self.log_path, first_lsn=0 if applied is None else applied + 1

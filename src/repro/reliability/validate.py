@@ -20,6 +20,7 @@ Two entry points:
   streaming deployment recovers toward.
 """
 
+from repro.core.tar_tree import TARTree
 from repro.spatial.geometry import Rect
 
 #: Violation codes emitted by :func:`validate_tree`.
@@ -123,15 +124,6 @@ class ValidationReport:
         )
 
 
-def _epoch_maxima(entries):
-    maxima = {}
-    for entry in entries:
-        for epoch, value in entry.tia.items():
-            if value > maxima.get(epoch, 0):
-                maxima[epoch] = value
-    return maxima
-
-
 def validate_tree(tree):
     """Run every structural and aggregate check; returns a report.
 
@@ -213,7 +205,7 @@ def validate_tree(tree):
                     where,
                     "stale MBR %r (children union %r)" % (entry.mbr, expected_mbr),
                 )
-            expected_tia = _epoch_maxima(child.entries)
+            expected_tia = TARTree._epoch_maxima(child.entries)
             actual_tia = dict(entry.tia.items())
             if actual_tia != expected_tia:
                 report.add(

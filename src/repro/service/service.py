@@ -244,8 +244,8 @@ class QueryService:
         A :class:`ServiceConfig`; defaults serve a small deployment.
     manifest_path:
         Where the scrubber persists its leaf-CRC manifest (defaults to
-        ``<ingest.directory>/<name>.scrub.json`` when an ingest is
-        attached, else in-memory).
+        the ingest's ``scrub_manifest_path`` when an ingest is attached,
+        else in-memory).
     autostart:
         Start worker threads immediately.  ``False`` lets tests and
         benchmarks enqueue a deterministic backlog first, then call
@@ -276,9 +276,7 @@ class QueryService:
             self.scrubber = None
         else:
             if manifest_path is None and ingest is not None:
-                manifest_path = (
-                    ingest.snapshot_path.rsplit(".json", 1)[0] + ".scrub.json"
-                )
+                manifest_path = ingest.scrub_manifest_path
             scrub_budget = self.config.scrub_budget
             self.scrubber = Scrubber(
                 tree,

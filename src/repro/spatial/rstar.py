@@ -1,38 +1,29 @@
-"""A from-scratch R*-tree (Beckmann et al., SIGMOD 1990).
+"""R*-tree grouping (Beckmann et al., SIGMOD 1990) and the R-tree nodes.
 
-The module has two layers:
+The TAR-tree (:mod:`repro.core.tar_tree`), the repository's one tree,
+groups its entries with the pure algorithms here —
+:func:`rstar_choose_subtree`, :func:`rstar_split_groups` and
+:func:`reinsert_indices`, which operate on plain lists of
+:class:`~repro.spatial.geometry.Rect` — in 2-D for its spatial strategy
+and in 3-D for the integral-3D one, and builds on :class:`Entry` and
+:class:`Node`.
 
-* Pure grouping algorithms — :func:`rstar_choose_subtree`,
-  :func:`rstar_split_groups` and :func:`reinsert_indices` — that operate on
-  plain lists of :class:`~repro.spatial.geometry.Rect`.  The TAR-tree
-  (:mod:`repro.core.tar_tree`) reuses these for its spatial and integral-3D
-  entry grouping strategies, so they are kept free of tree plumbing.
-* :class:`RStarTree`, a complete standalone in-memory R*-tree with insert,
-  delete, window search and best-first k-nearest-neighbour search.
-
-The implementation follows the original paper: choose-subtree minimises
+The algorithms follow the original paper: choose-subtree minimises
 overlap enlargement at the leaf level and area enlargement above it,
-overflow triggers one forced reinsertion per level per insertion (the 30%
-of entries whose centers are farthest from the node center), and splits
-pick the axis with the least margin sum and the distribution with the
-least overlap.
+forced reinsertion removes the entries whose centers are farthest from
+the node center, and splits pick the axis with the least margin sum and
+the distribution with the least overlap.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
-import math
-from typing import TYPE_CHECKING, Any, Iterator, Sequence, cast
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.spatial.geometry import Rect
 
 if TYPE_CHECKING:
     from repro.core.frames import NodeFrame
-    from repro.storage.stats import AccessStats
-
-DEFAULT_REINSERT_RATIO = 0.3
-DEFAULT_MIN_FILL_RATIO = 0.4
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +205,8 @@ class Entry:
 
     Leaf entries carry a payload ``item``; internal entries carry a
     ``child`` node.  ``rect`` is the bounding rectangle in grouping space.
-    The optional ``mbr`` and ``tia`` slots are used by the TAR-tree layer
-    (spatial MBR when grouping space is 3-D, and the entry's temporal
-    index); they stay ``None`` for plain spatial trees, where ``mbr`` is
-    the same object as ``rect``.
+    ``mbr`` is the spatial MBR (``rect`` when not given) and ``tia`` the
+    entry's temporal index; the TAR-tree sets both.
     """
 
     __slots__ = ("rect", "child", "item", "mbr", "tia")
@@ -254,8 +243,7 @@ class Node:
     entry list or an entry's rect/MBR/TIA content — splits, forced
     reinsertions, digest propagation, repairs — must bump it so stale
     caches are detected.  ``frame`` holds that cached state, tagged with
-    the stamp it was built under.  The plain R*-tree carries but never
-    reads either.
+    the stamp it was built under.
     """
 
     __slots__ = ("node_id", "level", "entries", "parent", "stamp", "frame")
@@ -293,328 +281,3 @@ class Node:
             self.level,
             len(self.entries),
         )
-
-
-class RStarTree:
-    """A standalone in-memory R*-tree over ``dims``-dimensional rectangles.
-
-    Parameters
-    ----------
-    dims:
-        Dimensionality of indexed rectangles.
-    capacity:
-        Maximum entries per node (derive from a node size in bytes with
-        :func:`repro.storage.pager.node_capacity`).
-    min_fill_ratio:
-        Minimum node fill as a fraction of ``capacity`` (R*-tree uses 0.4).
-    reinsert_ratio:
-        Fraction of entries removed on forced reinsertion (R*-tree uses 0.3).
-    stats:
-        Optional :class:`repro.storage.stats.AccessStats`; search and kNN
-        record node accesses into it.
-    """
-
-    def __init__(
-        self,
-        dims: int = 2,
-        capacity: int = 50,
-        min_fill_ratio: float = DEFAULT_MIN_FILL_RATIO,
-        reinsert_ratio: float = DEFAULT_REINSERT_RATIO,
-        stats: AccessStats | None = None,
-    ) -> None:
-        if capacity < 4:
-            raise ValueError("capacity must be >= 4, got %d" % capacity)
-        self.dims = dims
-        self.capacity = capacity
-        self.min_fill = max(1, int(math.ceil(capacity * min_fill_ratio)))
-        self.reinsert_count = max(1, int(capacity * reinsert_ratio))
-        self.stats = stats
-        self.root = Node(level=0)
-        self._size = 0
-
-    # -- basic properties ---------------------------------------------------
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def height(self) -> int:
-        """Number of levels (1 for a tree that is a single leaf)."""
-        return self.root.level + 1
-
-    def node_count(self) -> int:
-        """Total number of nodes (walks the tree)."""
-        count = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            if not node.is_leaf:
-                stack.extend(cast(Node, entry.child) for entry in node.entries)
-        return count
-
-    def bounds(self) -> Rect | None:
-        """Bounding rectangle of the whole tree, or ``None`` when empty."""
-        if not self.root.entries:
-            return None
-        return self.root.rect()
-
-    # -- insertion ----------------------------------------------------------
-
-    def insert(self, rect: Rect, item: Any) -> None:
-        """Insert ``item`` with bounding rectangle ``rect``."""
-        if rect.dims != self.dims:
-            raise ValueError(
-                "rect has %d dims but tree indexes %d" % (rect.dims, self.dims)
-            )
-        self._insert_entry(Entry(rect, item=item), level=0, split_allowed_levels=set())
-        self._size += 1
-
-    def _insert_entry(
-        self, entry: Entry, level: int, split_allowed_levels: set[int]
-    ) -> None:
-        """Insert ``entry`` at ``level``; handles overflow recursively.
-
-        ``split_allowed_levels`` tracks the levels where forced
-        reinsertion already happened during this top-level insertion, so
-        each level reinserts at most once (the R*-tree rule).
-        """
-        node = self._choose_node(entry.rect, level)
-        node.entries.append(entry)
-        if entry.child is not None:
-            entry.child.parent = node
-        self._adjust_path(node)
-        if len(node.entries) > self.capacity:
-            self._overflow(node, split_allowed_levels)
-
-    def _choose_node(self, rect: Rect, level: int) -> Node:
-        node = self.root
-        while node.level > level:
-            rects = [entry.rect for entry in node.entries]
-            index = rstar_choose_subtree(
-                rects, rect, children_are_leaves=(node.level == level + 1)
-            )
-            node = cast(Node, node.entries[index].child)
-        return node
-
-    def _adjust_path(self, node: Node) -> None:
-        """Refresh bounding rectangles from ``node`` up to the root."""
-        while node.parent is not None:
-            parent = node.parent
-            entry = parent.entry_for_child(node)
-            entry.rect = node.rect()
-            node = parent
-
-    def _overflow(self, node: Node, split_allowed_levels: set[int]) -> None:
-        if node is not self.root and node.level not in split_allowed_levels:
-            split_allowed_levels.add(node.level)
-            self._force_reinsert(node, split_allowed_levels)
-        else:
-            self._split(node, split_allowed_levels)
-
-    def _force_reinsert(self, node: Node, split_allowed_levels: set[int]) -> None:
-        rects = [entry.rect for entry in node.entries]
-        victims = set(reinsert_indices(rects, self.reinsert_count))
-        removed = [node.entries[i] for i in victims]
-        node.entries = [e for i, e in enumerate(node.entries) if i not in victims]
-        self._adjust_path(node)
-        for entry in removed:
-            self._insert_entry(entry, node.level, split_allowed_levels)
-
-    def _split(self, node: Node, split_allowed_levels: set[int]) -> None:
-        rects = [entry.rect for entry in node.entries]
-        group_a, group_b = rstar_split_groups(rects, self.min_fill)
-        entries = node.entries
-        sibling = Node(level=node.level)
-        node.entries = [entries[i] for i in group_a]
-        sibling.entries = [entries[i] for i in group_b]
-        for entry in sibling.entries:
-            if entry.child is not None:
-                entry.child.parent = sibling
-
-        if node is self.root:
-            new_root = Node(level=node.level + 1)
-            new_root.entries.append(Entry(node.rect(), child=node))
-            new_root.entries.append(Entry(sibling.rect(), child=sibling))
-            node.parent = new_root
-            sibling.parent = new_root
-            self.root = new_root
-            return
-
-        parent = cast(Node, node.parent)
-        parent.entry_for_child(node).rect = node.rect()
-        sibling_entry = Entry(sibling.rect(), child=sibling)
-        parent.entries.append(sibling_entry)
-        sibling.parent = parent
-        self._adjust_path(parent)
-        if len(parent.entries) > self.capacity:
-            self._overflow(parent, split_allowed_levels)
-
-    # -- deletion -----------------------------------------------------------
-
-    def delete(self, rect: Rect, item: Any) -> bool:
-        """Remove the entry with exactly ``rect`` and ``item``.
-
-        Returns ``True`` when an entry was removed.  Underflowing nodes are
-        dissolved and their entries reinserted (the classic condense-tree
-        step).
-        """
-        found = self._find_leaf(self.root, rect, item)
-        if found is None:
-            return False
-        leaf, index = found
-        del leaf.entries[index]
-        self._condense(leaf)
-        self._size -= 1
-        if not self.root.is_leaf and len(self.root.entries) == 1:
-            self.root = cast(Node, self.root.entries[0].child)
-            self.root.parent = None
-        return True
-
-    def _find_leaf(
-        self, node: Node, rect: Rect, item: Any
-    ) -> tuple[Node, int] | None:
-        if node.is_leaf:
-            for i, entry in enumerate(node.entries):
-                if entry.item == item and entry.rect == rect:
-                    return node, i
-            return None
-        for entry in node.entries:
-            if entry.rect.contains_rect(rect) or entry.rect.intersects(rect):
-                found = self._find_leaf(cast(Node, entry.child), rect, item)
-                if found is not None:
-                    return found
-        return None
-
-    def _condense(self, node: Node) -> None:
-        orphans: list[tuple[int, list[Entry]]] = []
-        while node.parent is not None:
-            parent = node.parent
-            if len(node.entries) < self.min_fill:
-                parent.entries.remove(parent.entry_for_child(node))
-                orphans.append((node.level, list(node.entries)))
-            else:
-                parent.entry_for_child(node).rect = node.rect()
-            node = parent
-        for level, entries in orphans:
-            for entry in entries:
-                self._insert_entry(entry, level, split_allowed_levels=set())
-
-    # -- queries ------------------------------------------------------------
-
-    def _record_access(self, node: Node) -> None:
-        if self.stats is not None:
-            self.stats.record_node(node.is_leaf)
-
-    def search(self, rect: Rect) -> list[Any]:
-        """Return the items whose rectangles intersect ``rect``."""
-        results: list[Any] = []
-        if not self.root.entries:
-            return results
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            self._record_access(node)
-            for entry in node.entries:
-                if entry.rect.intersects(rect):
-                    if node.is_leaf:
-                        results.append(entry.item)
-                    else:
-                        stack.append(cast(Node, entry.child))
-        return results
-
-    def nearest(self, point: Sequence[float], k: int = 1) -> list[tuple[float, Any]]:
-        """Return the ``k`` items nearest to ``point`` (best-first search).
-
-        Results are ``(distance, item)`` pairs in non-decreasing distance
-        order, computed with the MINDIST lower bound of Hjaltason & Samet.
-        """
-        if k < 1:
-            raise ValueError("k must be >= 1, got %d" % k)
-        results: list[tuple[float, Any]] = []
-        if not self.root.entries:
-            return results
-        counter = itertools.count()
-        heap: list[tuple[float, int, Entry]] = []
-        self._record_access(self.root)
-        for entry in self.root.entries:
-            heapq.heappush(
-                heap, (entry.rect.min_dist(point), next(counter), entry)
-            )
-        while heap and len(results) < k:
-            distance, _, entry = heapq.heappop(heap)
-            if entry.is_leaf_entry:
-                results.append((distance, entry.item))
-                continue
-            child = cast(Node, entry.child)
-            self._record_access(child)
-            for child_entry in child.entries:
-                heapq.heappush(
-                    heap,
-                    (child_entry.rect.min_dist(point), next(counter), child_entry),
-                )
-        return results
-
-    def items(self) -> Iterator[tuple[Rect, Any]]:
-        """Yield every ``(rect, item)`` pair in the tree."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            for entry in node.entries:
-                if node.is_leaf:
-                    yield entry.rect, entry.item
-                else:
-                    stack.append(cast(Node, entry.child))
-
-    # -- validation ---------------------------------------------------------
-
-    def check_invariants(self) -> None:
-        """Raise ``AssertionError`` when a structural invariant is violated.
-
-        Checks: parent pointers; bounding rectangles exactly cover child
-        entries; node fill bounds (root excepted); uniform leaf depth; and
-        that the recorded size matches the number of leaf entries.  The
-        checks are explicit ``raise`` statements, not ``assert``, so they
-        hold under ``python -O`` too.
-        """
-        leaf_levels: set[int] = set()
-        count = 0
-        stack: list[tuple[Node, Node | None]] = [(self.root, None)]
-        while stack:
-            node, parent = stack.pop()
-            if node.parent is not parent:
-                raise AssertionError(
-                    "broken parent pointer at node %d" % node.node_id
-                )
-            if node is not self.root and len(node.entries) < self.min_fill:
-                raise AssertionError(
-                    "node %d underfull: %d < %d"
-                    % (node.node_id, len(node.entries), self.min_fill)
-                )
-            if len(node.entries) > self.capacity:
-                raise AssertionError(
-                    "node %d overfull: %d > %d"
-                    % (node.node_id, len(node.entries), self.capacity)
-                )
-            if node.is_leaf:
-                leaf_levels.add(node.level)
-                count += len(node.entries)
-            else:
-                for entry in node.entries:
-                    if entry.child is None:
-                        raise AssertionError("internal entry without child")
-                    if entry.child.level != node.level - 1:
-                        raise AssertionError(
-                            "level mismatch at node %d" % node.node_id
-                        )
-                    if entry.rect != entry.child.rect():
-                        raise AssertionError(
-                            "stale bounding rect at node %d" % node.node_id
-                        )
-                    stack.append((entry.child, node))
-        if self._size and leaf_levels != {0}:
-            raise AssertionError("leaves at mixed levels: %r" % leaf_levels)
-        if count != self._size:
-            raise AssertionError(
-                "size mismatch: %d != %d" % (count, self._size)
-            )

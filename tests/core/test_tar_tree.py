@@ -81,12 +81,20 @@ class TestBasicStructure:
 
     @pytest.mark.parametrize("strategy", ["integral3d", "spatial", "aggregate"])
     def test_many_inserts_keep_invariants(self, strategy):
-        tree = make_tree(strategy)
-        for poi, history in random_pois(300, seed=1):
-            tree.insert_poi(poi, history)
-        assert len(tree) == 300
-        assert tree.height >= 2
-        tree.check_invariants()
+        # Scattered POIs, and POIs at one point: their spatial extents
+        # coincide, so splits and choose-subtree tie on them.
+        coincident = [(POI(i, 50.0, 50.0), {0: 1 + i % 3}) for i in range(300)]
+        for pois in (random_pois(300, seed=1), coincident):
+            tree = make_tree(strategy)
+            for poi, history in pois:
+                tree.insert_poi(poi, history)
+                tree.check_invariants()
+            assert len(tree) == 300
+            assert tree.height >= 2
+            for poi, _history in pois[::2]:
+                assert tree.delete_poi(poi.poi_id)
+                tree.check_invariants()
+            assert sorted(tree.poi_ids()) == [poi.poi_id for poi, _ in pois[1::2]]
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):

@@ -229,11 +229,11 @@ class TestReporters:
 
 class TestRegistry:
     def test_all_ten_project_rules_are_registered(self):
-        # Ten ids were issued; RT006 (warn-stacklevel) was retired with
-        # the last warnings.warn call and is not reused.
+        # Eleven ids were issued; RT006 (warn-stacklevel) was retired
+        # with the last warnings.warn call and is not reused.
         assert sorted(registered_rules()) == [
             "RT001", "RT002", "RT003", "RT004", "RT005", "RT007",
-            "RT008", "RT009", "RT010",
+            "RT008", "RT009", "RT010", "RT011",
         ]
 
     def test_rule_ids_include_the_meta_ids(self):

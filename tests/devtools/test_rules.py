@@ -1102,3 +1102,48 @@ class TestNoForeignCallback:
             """,
         )
         assert findings == []
+
+
+class TestDurableWriteOnly:
+    def test_rename_outside_the_helper_fires(self, lint_source):
+        findings = lint_source(
+            "repro/cluster/mod.py",
+            """
+            import os
+            from os import replace
+
+            def save(temp_path, path):
+                os.replace(temp_path, path)
+                os.rename(temp_path, path)
+            """,
+        )
+        assert rule_ids_of(findings) == ["RT011", "RT011", "RT011"]
+
+    def test_only_the_helper_itself_is_clean(self, lint_source):
+        findings = lint_source(
+            "repro/reliability/wal.py",
+            """
+            import os
+
+            def durable_write(path):
+                temp_path = path + ".tmp"
+                os.replace(temp_path, path)
+
+            def reset(path):
+                os.replace(path + ".new", path)
+            """,
+        )
+        assert [finding.line for finding in findings] == [9]
+        assert rule_ids_of(findings) == ["RT011"]
+
+    def test_suppression(self, lint_source):
+        findings = lint_source(
+            "repro/storage/mod.py",
+            """
+            import os
+
+            def swap(temp_path, path):
+                os.replace(temp_path, path)  # repro: allow[RT011]
+            """,
+        )
+        assert findings == []

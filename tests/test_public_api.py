@@ -206,6 +206,7 @@ class TestDevtoolsSurface:
             "RT008",
             "RT009",
             "RT010",
+            "RT011",
             repro.devtools.META_UNUSED,
             repro.devtools.META_PARSE_ERROR,
         ]
