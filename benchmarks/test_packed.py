@@ -1,4 +1,4 @@
-"""Packed node frames vs the object path — wall-clock, same answers.
+"""Packed node frames vs the object path — CPU time, same answers.
 
 The packed hot path (:mod:`repro.core.frames`) claims two things: it is
 faster, and it changes *nothing* about the answers.  This benchmark
@@ -8,7 +8,11 @@ running identical workloads with the frame store enabled and disabled
 on otherwise identical trees.  Answers must be bit-identical (full
 tuple equality, on COUNT, SUM and MAX trees, including under a 40-step
 mutation stream) and the packed path must be at least ``MIN_SPEEDUP``
-times faster on the single-tree search of a COUNT tree.  The same
+times faster on the single-tree search of a COUNT tree.  Each side is
+timed as process CPU in ``ROUNDS`` rounds that alternate which side
+runs first, and a speedup is the median of the rounds' ratios: CPU
+time leaves out the waits a shared host adds to wall-clock, and the
+interleaving puts drift over the run on both sides.  The same
 search is also timed at daily epochs on LA, the sparsest data set, on
 COUNT and MAX trees, and must not be slower than the object path there.
 The series lands in ``BENCH_packed.json``, beside what the built frames
@@ -27,6 +31,7 @@ then lands in ``BENCH_packed.smoke.json``.
 
 import functools
 import random
+import statistics
 import sys
 import time
 
@@ -59,7 +64,8 @@ MIN_SPEEDUP = 1.0 if SMOKE else 1.5
 #: already amortises much of what the frames remove.
 MIN_BATCH_SPEEDUP = 1.0
 
-REPEATS = 3
+#: Timed rounds per comparison, each running both sides once.
+ROUNDS = 5
 
 
 @functools.lru_cache(maxsize=None)
@@ -75,39 +81,37 @@ def get_queries(name=DATASET):
     return generate_queries(data, n_queries=N_QUERIES, k=10, alpha0=0.3, seed=7)
 
 
-def best_of(fn, repeats=REPEATS):
-    """Best wall-clock of ``repeats`` runs (noise floor, not average)."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def cpu_seconds(fn):
+    """Process CPU seconds of one ``fn()`` call."""
+    start = time.process_time()
+    fn()
+    return time.process_time() - start
 
 
 def compare(label, build, run, collect):
     """Time ``run`` on a packed and a frames-disabled twin of ``build``.
 
     Both twins are warmed (one full pass) before timing so frame
-    construction and TIA buffer effects are amortised identically.
-    Returns ``(speedup, packed_seconds, object_seconds)`` and asserts
-    the answers are bit-identical.
+    construction and TIA buffer effects are amortised identically, then
+    run once each per round, the first side alternating.  Returns
+    ``(speedup, packed_seconds, object_seconds)``, the medians over the
+    rounds, and asserts the answers are bit-identical.
     """
-    packed_tree = build()
-    run(packed_tree)  # warm: builds frames, fills buffers
-    packed_time = best_of(lambda: run(packed_tree))
-    packed_answers = collect(packed_tree)
+    sides = {"packed": build(), "object": build()}
+    disable_frames(sides["object"])
+    for tree in sides.values():
+        run(tree)  # warm: builds frames, fills buffers
+    times = {"packed": [], "object": []}
+    for round_index in range(ROUNDS):
+        for side in sorted(sides, reverse=bool(round_index % 2)):
+            times[side].append(cpu_seconds(lambda: run(sides[side])))
 
-    object_tree = build()
-    disable_frames(object_tree)
-    run(object_tree)
-    object_time = best_of(lambda: run(object_tree))
-    object_answers = collect(object_tree)
-
-    assert packed_answers == object_answers, (
+    assert collect(sides["packed"]) == collect(sides["object"]), (
         "%s: packed answers diverged from the object path" % label
     )
-    return object_time / packed_time, packed_time, object_time
+    packed, unpacked = times["packed"], times["object"]
+    speedup = statistics.median(slow / fast for fast, slow in zip(packed, unpacked))
+    return speedup, statistics.median(packed), statistics.median(unpacked)
 
 
 def disable_frames(tree):
@@ -256,6 +260,8 @@ def test_packed_speedup_and_identity():
             "num_shards": NUM_SHARDS,
             "smoke": SMOKE,
             "min_speedup": MIN_SPEEDUP,
+            "rounds": ROUNDS,
+            "timing": "process CPU, median of interleaved rounds",
             "results": results,
             "frame_memory": memory,
         },

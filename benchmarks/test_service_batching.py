@@ -13,6 +13,15 @@ this benchmark asserts that the service's answers equal
 total, and reports side by side, alternating which side runs first, the
 CPU per query and the node totals of the service batch and of one
 collective batch of the same queries (whose answers must be equal too).
+
+A closed-loop row serves the same data from an in-process 4-shard
+cluster through a service with the ``repro serve`` defaults, keeping
+32 queries in flight, every interval distinct (so every batch holds
+one query, as on perfbench's ``cluster-inproc``).  It reports the
+process CPU per answer, the answers per second (capacity) and the mean
+batch size, each the median of its rounds, and asserts every
+answer equals the cluster's own ``query``.
+
 No wall-clock bar is set; the series lands in ``BENCH_service.json``
 with the host it ran on.  ``REPRO_BENCH_SMOKE=1`` shrinks the fixture
 for the CI smoke leg and writes ``BENCH_service.smoke.json`` instead.
@@ -21,11 +30,12 @@ for the CI smoke leg and writes ``BENCH_service.smoke.json`` instead.
 import functools
 import statistics
 import time
+from collections import deque
 
 from _harness import SMOKE, print_series, write_bench
-from repro import AccessStats, TARTree, datasets
+from repro import AccessStats, ClusterTree, TARTree, datasets
 from repro.core.collective import CollectiveProcessor
-from repro.datasets.workload import generate_queries
+from repro.datasets.workload import DEFAULT_INTERVAL_CHOICES, generate_queries
 from repro.service import QueryService, ServiceConfig
 from repro.temporal.epochs import TimeInterval
 
@@ -35,6 +45,10 @@ SEED = 42
 CONCURRENCY_LEVELS = (1, 8, 64)
 INTERVAL_DAYS = 28.0
 REPEATS = 3 if SMOKE else 7
+#: The closed loop: shards, queries kept outstanding, queries per round.
+CLOSED_LOOP_SHARDS = 4
+IN_FLIGHT = 32
+CLOSED_LOOP_QUERIES = 200 if SMOKE else 1000
 
 
 @functools.lru_cache(maxsize=None)
@@ -53,6 +67,36 @@ def make_queries(n):
     preset = TimeInterval(data.span_days - INTERVAL_DAYS, data.span_days)
     workload = generate_queries(data, n_queries=n, seed=21)
     return [query._replace(interval=preset) for query in workload]
+
+
+@functools.lru_cache(maxsize=None)
+def get_cluster():
+    return ClusterTree.build(get_data(), num_shards=CLOSED_LOOP_SHARDS)
+
+
+def run_closed_loop(cluster, queries):
+    """Serve ``queries`` keeping ``IN_FLIGHT`` outstanding, refilling as
+    the oldest completes.
+
+    Returns the answers, the process CPU and wall-clock seconds from the
+    first submit to the last answer, and the mean batch size.
+    """
+    service = QueryService(cluster)  # the ``repro serve`` defaults
+    answers = []
+    in_flight = deque()
+    cpu = time.process_time()
+    wall = time.perf_counter()
+    for query in queries:
+        if len(in_flight) == IN_FLIGHT:
+            answers.append(in_flight.popleft().result(timeout=120))
+        in_flight.append(service.submit(query))
+    while in_flight:
+        answers.append(in_flight.popleft().result(timeout=120))
+    cpu = time.process_time() - cpu
+    wall = time.perf_counter() - wall
+    service.close()
+    stats = service.service_stats
+    return answers, cpu, wall, stats.completed / stats.batches
 
 
 def run_service_batch(tree, queries):
@@ -155,6 +199,19 @@ def test_service_batch_costs_its_riders():
             )
         )
 
+    closed_loop = measure_closed_loop()
+    print(
+        "closed loop, %d in flight over %d shards: CPU/answer %.3f ms, "
+        "%.0f answers/s, mean batch %.2f"
+        % (
+            IN_FLIGHT,
+            CLOSED_LOOP_SHARDS,
+            closed_loop["cpu_ms_per_answer"],
+            closed_loop["capacity_qps"],
+            closed_loop["mean_batch_size"],
+        )
+    )
+
     write_bench(
         "service",
         {
@@ -163,8 +220,38 @@ def test_service_batch_costs_its_riders():
             "seed": SEED,
             "interval_days": INTERVAL_DAYS,
             "levels": rows,
+            "closed_loop": closed_loop,
         },
     )
+
+
+def measure_closed_loop():
+    """The closed-loop row: medians over ``REPEATS`` rounds."""
+    cluster = get_cluster()
+    data = get_data()
+    # Lengths the span clips would all start at its first day.
+    lengths = [days for days in DEFAULT_INTERVAL_CHOICES if days < data.span_days]
+    queries = generate_queries(
+        data, n_queries=CLOSED_LOOP_QUERIES, interval_days_choices=lengths, seed=23
+    )
+    assert len({query.interval for query in queries}) == len(queries)
+    expected = [cluster.query(query) for query in queries]
+    cpu, capacity, batch = [], [], []
+    for _ in range(REPEATS):
+        answers, cpu_s, wall_s, mean_batch = run_closed_loop(cluster, queries)
+        assert answers == expected
+        cpu.append(cpu_s)
+        capacity.append(len(queries) / wall_s)
+        batch.append(mean_batch)
+    return {
+        "shards": CLOSED_LOOP_SHARDS,
+        "in_flight": IN_FLIGHT,
+        "queries": len(queries),
+        "repeats": REPEATS,
+        "cpu_ms_per_answer": 1000.0 * statistics.median(cpu) / len(queries),
+        "capacity_qps": statistics.median(capacity),
+        "mean_batch_size": statistics.median(batch),
+    }
 
 
 def test_service_batch_is_one_batch():

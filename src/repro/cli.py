@@ -18,9 +18,9 @@ Commands cover the library's end-to-end flow without writing code:
   replay counts; optionally reconcile against the source data set and
   re-checkpoint the recovered tree.
 * ``serve`` — serve a tree over TCP (JSON lines) through the
-  concurrent :mod:`repro.service` query service: collective
-  micro-batching, WAL-logged single-writer ingest (with
-  ``--state-dir``) and the background scrubber.  With ``--cluster``
+  concurrent :mod:`repro.service` query service: micro-batching,
+  WAL-logged single-writer ingest (with ``--state-dir``) and the
+  background scrubber.  With ``--cluster``
   the positional argument is a cluster directory written by ``shard``
   and the service fronts the scatter-gather coordinator.
 * ``shard`` — partition a saved data set into N spatial shards
@@ -254,9 +254,9 @@ def build_parser():
         "serve",
         help="serve kNNTA queries over TCP (JSON lines)",
         description=(
-            "Run the concurrent query service over a saved tree: worker "
-            "threads micro-batch concurrent same-interval queries through "
-            "the collective processor, mutations take the exclusive side "
+            "Run the concurrent query service over a saved tree: a worker "
+            "thread micro-batches concurrent same-interval queries and "
+            "runs each batch rider by rider, mutations take the exclusive side "
             "of a readers-writer lock, and a background scrubber sweeps "
             "the index for TIA corruption. With --state-dir, mutations "
             "are WAL-logged there (crash-recoverable via 'recover'); if "
@@ -317,15 +317,23 @@ def build_parser():
     serve.add_argument(
         "--port", type=int, default=0, help="TCP port (0 = OS-assigned)"
     )
-    serve.add_argument("--workers", type=int, default=2, help="query worker threads")
     serve.add_argument(
-        "--batch-size", type=int, default=16, help="max queries per collective batch"
+        "--workers",
+        type=int,
+        default=2,
+        help="with --shard-workers: micro-batches run at once (query "
+        "worker threads); a tree or in-process cluster, whose searches "
+        "run in this interpreter, always gets one thread",
+    )
+    serve.add_argument(
+        "--batch-size", type=int, default=16, help="max queries per micro-batch"
     )
     serve.add_argument(
         "--linger-ms",
         type=float,
         default=2.0,
-        help="micro-batching window: how long a worker waits for peers",
+        help="micro-batching window: how long a worker waits for peers "
+        "while no other request is queued",
     )
     serve.add_argument(
         "--queue-limit",
@@ -1110,8 +1118,13 @@ def _command_serve(args, out, err):
     server = JsonLineServer(service, host=args.host, port=args.port)
     print("serving on %s:%d" % server.address[:2], file=out)
     print(
-        "%d workers, batch size %d, linger %gms, queue limit %d"
-        % (args.workers, args.batch_size, args.linger_ms, args.queue_limit),
+        "worker threads %d, batch size %d, linger %gms, queue limit %d"
+        % (
+            service.worker_threads,
+            args.batch_size,
+            args.linger_ms,
+            args.queue_limit,
+        ),
         file=out,
     )
     out.flush()

@@ -464,13 +464,14 @@ class ClusterTree(Generic[_Endpoint]):
     #: service's lock, so the reverse import would cycle).
     is_cluster = True
 
-    #: Whether the service may coalesce queued queries whatever their
-    #: interval into one :meth:`query_batch`.  Not in process: there no
-    #: frame is paid, so coalescing saves only per-call overhead, and
-    #: the in-process cluster stays the transport-free control that the
-    #: worker cluster is measured against (docs/SERVICE.md,
-    #: "Micro-batching semantics").
-    coalesce_any_interval = False
+    #: Whether shard searches run in worker processes, which decides how
+    #: the service schedules this tree.  Not in process: the searches
+    #: are pure Python in this interpreter, so the service runs one
+    #: worker thread, and since no frame is paid it keeps one interval
+    #: per batch; the in-process cluster stays the transport-free
+    #: control that the worker cluster is measured against
+    #: (docs/SERVICE.md, "Micro-batching semantics").
+    searches_out_of_process = False
 
     def __init__(
         self,

@@ -517,12 +517,15 @@ class RemoteClusterTree(ClusterTree[RemoteShard]):
     #: (perfbench/spans.py) wraps ``RemoteClusterTree.__dict__["query"]``.
     query = ClusterTree.query
 
-    #: Worker queries pay per frame: a batch of any intervals costs at
-    #: most two ``batch`` frames per worker, one per scatter wave, for
-    #: all its riders, and at the default parallelism each rider prunes
-    #: and cuts the same shards as when asked alone (docs/SERVICE.md,
+    #: Shard searches run in the worker processes, so the service's
+    #: threads mostly wait on sockets and it runs ``workers`` of them.
+    #: Worker queries also pay per frame: a batch of any intervals costs
+    #: at most two ``batch`` frames per worker, one per scatter wave,
+    #: for all its riders, and at the default parallelism each rider
+    #: prunes and cuts the same shards as when asked alone, so the
+    #: service coalesces any queued queries (docs/SERVICE.md,
     #: "Micro-batching semantics").
-    coalesce_any_interval = True
+    searches_out_of_process = True
 
     def __init__(
         self,

@@ -6,9 +6,10 @@
 durability) behind three coordinated mechanisms:
 
 * **Micro-batching** — callers enqueue queries into a bounded request
-  queue; worker threads drain it and coalesce requests sharing a time
-  interval (any interval on a worker cluster, see below) into one
-  batch, bounded by ``batch_size`` and a ``linger`` deadline.  A batch
+  queue; a worker thread (several on a worker cluster, see below)
+  drains it and coalesces requests sharing a time interval (any
+  interval on a worker cluster) into one batch, bounded by
+  ``batch_size`` and a ``linger`` deadline.  A batch
   runs as one ``tree.query_batch`` call under one read-lock hold (a
   batch of one as one ``tree.query``): each rider runs its own
   best-first search, and the batch amortizes the lock and the
@@ -44,14 +45,21 @@ visits every non-empty shard, one ``query_batch`` per shard),
 mutations route through the owning shard's WAL inside the coordinator,
 and scrubbing round-robins over the shards.  No service-level ingest
 may be attached in that mode.
-A tree whose ``coalesce_any_interval`` marker is true — a worker
-cluster, :class:`~repro.cluster.remote.RemoteClusterTree` — gets
-batches of the oldest queued requests whatever their interval: there a
-query costs a socket frame per visited worker, and a batch at most two
-frames per worker for all its riders.  Single trees and in-process
-clusters pay no frame and keep one interval per batch
+Where a tree's searches run decides how it is scheduled; its
+``searches_out_of_process`` marker says so.  A tree that searches in
+this interpreter — a single tree or an in-process cluster — gets one
+worker thread, which forms and runs every batch: its searches are pure
+Python, so a second thread would only trade the GIL with the first.
+Its batches keep one interval each, since there no frame is paid.  A
+tree whose marker is true — a worker cluster,
+:class:`~repro.cluster.remote.RemoteClusterTree` — gets
+``config.workers`` threads, which mostly wait on sockets, and batches
+of the oldest queued requests whatever their interval: there a query
+costs a socket frame per visited worker, and a batch at most two
+frames per worker for all its riders.  Either way a worker lingers for
+stragglers only while the queue holds nothing else
 (``docs/SERVICE.md``, "Micro-batching semantics", has the
-measurements behind both and behind the per-rider batch).
+measurements behind these rules and behind the per-rider batch).
 """
 
 import threading
@@ -116,10 +124,16 @@ class WorkerCrashError(ServiceError):
 class ServiceConfig:
     """Tunables for one :class:`QueryService` (all have serving defaults).
 
-    ``linger`` is the micro-batching window in seconds: a worker that
-    finds fewer than ``batch_size`` coalescable requests waits at most
-    this long for stragglers before executing.  ``scrub_interval`` (in
-    seconds) enables the background maintenance thread; ``None`` leaves
+    ``workers`` is the number of batches run at once over a tree whose
+    searches run in worker processes (a
+    :class:`~repro.cluster.remote.RemoteClusterTree`); a tree that
+    searches in this interpreter always gets one worker thread
+    (:attr:`QueryService.worker_threads`).  ``linger`` is the
+    micro-batching window in seconds: a worker that finds fewer than
+    ``batch_size`` coalescable requests, and nothing else queued, waits
+    at most this long for stragglers before executing; any other queued
+    request ends the wait at once.  ``scrub_interval`` (in seconds)
+    enables the background maintenance thread; ``None`` leaves
     scrubbing to manual :meth:`QueryService.scrub_tick` calls.
     """
 
@@ -257,9 +271,10 @@ class QueryService:
         if ingest is not None and ingest.tree is not tree:
             raise ValueError("ingest wraps a different tree")
         self._cluster = bool(getattr(tree, "is_cluster", False))
-        # Batches share one (interval, semantics) key unless the tree's
-        # transport says any queued queries are cheaper together.
-        self._any_interval = bool(getattr(tree, "coalesce_any_interval", False))
+        # Searches in worker processes leave this interpreter's threads
+        # waiting on sockets, and pay a frame per call: only there do
+        # several threads, and batches of any intervals, pay.
+        self._out_of_process = bool(getattr(tree, "searches_out_of_process", False))
         if self._cluster and ingest is not None:
             raise ValueError(
                 "a cluster routes mutations through its own per-shard "
@@ -268,6 +283,8 @@ class QueryService:
         self.tree = tree
         self.ingest = ingest
         self.config = config if config is not None else ServiceConfig()
+        #: How many worker threads :meth:`start` runs.
+        self.worker_threads = self.config.workers if self._out_of_process else 1
         self.lock = ReadWriteLock(SERVICE_RW)
         self.service_stats = ServiceStats(latency_window=self.config.latency_window)
         if self._cluster:
@@ -315,7 +332,7 @@ class QueryService:
         if self._closed:
             raise ServiceClosedError("service already closed")
         self._started = True
-        for index in range(self.config.workers):
+        for index in range(self.worker_threads):
             worker = threading.Thread(
                 target=self._worker_loop,
                 name="repro-service-worker-%d" % index,
@@ -418,7 +435,7 @@ class QueryService:
         """Backpressure hint: time for the backlog to drain, roughly."""
         batches_pending = depth / float(self.config.batch_size) + 1.0
         per_batch = max(self.config.linger, 0.001)
-        return batches_pending * per_batch / self.config.workers
+        return batches_pending * per_batch / self.worker_threads
 
     # ------------------------------------------------------------------
     # Mutation path (exclusive, WAL-routed)
@@ -607,6 +624,8 @@ class QueryService:
         Returns ``None`` on shutdown (queue drained), else a list of
         requests sharing one ``(interval, semantics)`` key — or, on a
         tree that coalesces any interval, the oldest queued requests.
+        The linger lasts only while the queue holds nothing else: a
+        request of another key waiting behind the batch runs it at once.
         Requests whose deadline already passed are expired here, not
         executed.
         """
@@ -623,7 +642,7 @@ class QueryService:
                 batch = [first]
                 key = (
                     None
-                    if self._any_interval
+                    if self._out_of_process
                     else (first.query.interval, first.query.semantics)
                 )
                 linger_until = time.monotonic() + config.linger
@@ -632,7 +651,11 @@ class QueryService:
                     for request in matched:
                         if not self._expired(request):
                             batch.append(request)
-                    if len(batch) >= config.batch_size or self._closed:
+                    if (
+                        len(batch) >= config.batch_size
+                        or self._closed
+                        or self._queue
+                    ):
                         break
                     remaining = linger_until - time.monotonic()
                     if remaining <= 0:

@@ -1,6 +1,7 @@
 """QueryService behaviour: correctness, batching, admission, lifecycle."""
 
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -183,6 +184,110 @@ class TestWorkerClusterBatching:
         for query, answer in zip(queries, answers):
             oracle = single.query(query)
             assert [tuple(row) for row in answer] == [tuple(row) for row in oracle]
+
+
+class OverlapCounter:
+    """Wraps a tree's ``query``/``query_batch`` to count the threads
+    searching at once; each call also sleeps 1 ms, releasing the GIL,
+    so that two threads free to search together do."""
+
+    def __init__(self, tree, monkeypatch):
+        self.lock = threading.Lock()
+        self.depth = Counter()  # thread ident -> nesting depth
+        self.most = 0
+        for name in ("query", "query_batch"):
+            monkeypatch.setattr(tree, name, self.wrap(getattr(tree, name)))
+
+    def wrap(self, search):
+        def counted(*args, **options):
+            ident = threading.get_ident()
+            with self.lock:
+                self.depth[ident] += 1
+                self.most = max(self.most, len(self.depth))
+            try:
+                time.sleep(0.001)
+                return search(*args, **options)
+            finally:
+                with self.lock:
+                    self.depth[ident] -= 1
+                    if not self.depth[ident]:
+                        del self.depth[ident]
+
+        return counted
+
+
+def started_threads(service):
+    """Start ``service``; return the worker threads that start left running."""
+    before = set(threading.enumerate())
+    service.start()
+    return [
+        thread
+        for thread in threading.enumerate()
+        if thread not in before and thread.name.startswith("repro-service-worker-")
+    ]
+
+
+@pytest.mark.timeout(120)
+class TestScheduling:
+    """One worker thread for searches in this interpreter; a linger that
+    ends as soon as anything else is queued."""
+
+    @pytest.mark.parametrize("kind", ["tree", "inproc"])
+    def test_inprocess_searches_never_overlap(
+        self, kind, small_tree, small_dataset, monkeypatch
+    ):
+        tree = small_tree
+        if kind == "inproc":
+            tree = ClusterTree.build(small_dataset, num_shards=3)
+        try:
+            # 24 distinct intervals: every batch holds one query.
+            queries = [
+                KNNTAQuery((0.1, 0.2), trailing_interval(tree, 2 + i % 6, i // 6), k=4)
+                for i in range(24)
+            ]
+            expected = [tree.query(query) for query in queries]
+            counter = OverlapCounter(tree, monkeypatch)
+            config = ServiceConfig(workers=4, batch_size=4, linger=0.0)
+            service = QueryService(tree, config=config, autostart=False)
+            pending = [service.submit(query) for query in queries]
+            assert len(started_threads(service)) == service.worker_threads == 1
+            assert [p.result(timeout=30) for p in pending] == expected
+            service.close()
+            assert counter.most == 1
+        finally:
+            if kind == "inproc":
+                tree.close()
+
+    def test_worker_cluster_keeps_its_threads(self, small_dataset, tmp_path):
+        with open_on("workers", small_dataset, tmp_path / "c", num_shards=2) as cluster:
+            config = ServiceConfig(workers=4)
+            with QueryService(cluster, config=config, autostart=False) as service:
+                assert len(started_threads(service)) == service.worker_threads == 4
+                query = KNNTAQuery((0.5, 0.5), trailing_interval(cluster, 4), k=3)
+                assert service.query(query) == cluster.query(query)
+
+    def test_other_queued_request_ends_the_linger(self, small_tree):
+        config = ServiceConfig(linger=0.5)
+        service = QueryService(small_tree, config=config, autostart=False)
+        first = service.submit(make_query(lo=2, hi=6))
+        second = service.submit(make_query(lo=1, hi=9))
+        start = time.monotonic()
+        service.start()
+        assert first.result(timeout=30) == small_tree.query(first.query)
+        assert time.monotonic() - start < 0.1
+        assert first.batch_size == 1
+        service.close()
+        assert second.result(timeout=30) == small_tree.query(second.query)
+
+    def test_lone_request_takes_a_same_interval_straggler(self, small_tree):
+        config = ServiceConfig(workers=4, linger=0.5)
+        with QueryService(small_tree, config=config) as service:
+            first = service.submit(make_query(x=1.0))
+            time.sleep(0.05)
+            second = service.submit(make_query(x=9.0))
+            for request in (first, second):
+                assert request.result(timeout=30) == small_tree.query(request.query)
+                assert request.batch_size == 2
 
 
 @pytest.mark.timeout(120)

@@ -508,7 +508,7 @@ class TestServe:
 
         def serve():
             result["code"] = main(
-                ["serve", str(tree_file), "--port", "0",
+                ["serve", str(tree_file), "--port", "0", "--workers", "3",
                  "--state-dir", str(state_dir), "--scrub-interval-ms", "0"],
                 out=out,
             )
@@ -522,6 +522,11 @@ class TestServe:
             match = re.search(r"serving on ([\d.]+):(\d+)", out.getvalue())
             time.sleep(0.02)
         assert match, out.getvalue()
+        while "queue limit" not in out.getvalue():
+            time.sleep(0.02)
+        # A tree searches in this interpreter: one thread, whatever
+        # --workers asks for.
+        assert "worker threads 1," in out.getvalue()
         address = (match.group(1), int(match.group(2)))
 
         sock = socket.create_connection(address, timeout=30)
@@ -761,7 +766,7 @@ class TestShardWorkers:
         def serve():
             result["code"] = main(
                 ["serve", str(directory), "--cluster", "--shard-workers",
-                 "--port", "0", "--scrub-interval-ms", "0"],
+                 "--port", "0", "--workers", "3", "--scrub-interval-ms", "0"],
                 out=out,
             )
 
@@ -773,7 +778,10 @@ class TestShardWorkers:
             match = re.search(r"serving on ([\d.]+):(\d+)", out.getvalue())
             time.sleep(0.02)
         assert match, out.getvalue()
+        while "queue limit" not in out.getvalue():
+            time.sleep(0.02)
         banner = out.getvalue()
+        assert "worker threads 3," in banner
         assert "4 shard worker process(es)" in banner
         assert banner.count("pid") == 4
         address = (match.group(1), int(match.group(2)))
